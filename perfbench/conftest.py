@@ -1,0 +1,9 @@
+"""Make the simulator sources importable for the benchmark's own tests
+(``python -m pytest perfbench`` from the repository root)."""
+
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
