@@ -251,13 +251,7 @@ class PageCache:
         """Sorted resident ``[start, end)`` page runs clipped to
         ``[0, npages)`` — the shape the SLED interval-merge builder
         consumes.  O(runs) on the run/bitmap backends."""
-        profiler = self.profiler
-        if profiler is None:
-            return self._index.runs(inode_id, npages)
-        t0 = profiler.begin()
-        runs = self._index.runs(inode_id, npages)
-        profiler.add("cache.resident_runs", t0)
-        return runs
+        return self._index.runs(inode_id, npages)
 
     def resident_pages(self, inode_id: int, npages: int) -> list[bool]:
         """Residency bitmap for the first ``npages`` pages of an inode.

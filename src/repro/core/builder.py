@@ -181,8 +181,15 @@ def build_sled_vector(cache: PageCache, fs: FileSystem, inode: Inode,
             extras.append(extra)
             bws.append(bandwidth)
 
+    profiler = cache.profiler
+    if profiler is None:
+        resident = cache.resident_runs(inode.id, npages)
+    else:
+        t0 = profiler.begin()
+        resident = cache.resident_runs(inode.id, npages)
+        profiler.add("cache.resident_runs", t0)
     cursor = 0
-    for start, end in cache.resident_runs(inode.id, npages):
+    for start, end in resident:
         if start > cursor:
             gap(cursor, start - cursor)
         counts.append(end - start)

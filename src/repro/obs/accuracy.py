@@ -157,21 +157,40 @@ class SledAccuracyTracker:
     # -- snapshotting -----------------------------------------------------
 
     def record_prediction(self, inode_id: int, vector,
-                          queue_by_page: dict[int, float] | None = None
-                          ) -> int:
+                          queue_runs: list[tuple[int, int, float]] | None
+                          = None) -> int:
         """Snapshot per-page predictions from one SLED vector.
 
         Returns the number of pages snapshotted.  Re-asking for SLEDs on
         the same file refreshes the outstanding predictions.
-        ``queue_by_page`` names how much of each page's predicted latency
-        is queue delay (pages absent predict zero queueing).
+        ``queue_runs`` names how much of each page's predicted latency
+        is queue delay, as sorted disjoint ``(start page, end page,
+        seconds)`` runs (pages outside them predict zero queueing).
+
+        A page takes the SLED holding its first byte.  The walk goes
+        run by run — SLEDs split where a queue run starts or ends — and
+        every page of a run shares one prediction tuple.
         """
         npages = (vector.file_size + PAGE_SIZE - 1) // PAGE_SIZE
-        for page in range(npages):
-            sled = vector.sled_at(page * PAGE_SIZE)
-            queue = queue_by_page.get(page, 0.0) if queue_by_page else 0.0
-            self._predictions[(inode_id, page)] = (sled.latency,
-                                                   sled.bandwidth, queue)
+        predictions = self._predictions
+        queues = queue_runs or ()
+        q = 0
+        for sled in vector:
+            page = -(-sled.offset // PAGE_SIZE)
+            stop = min(-(-sled.end // PAGE_SIZE), npages)
+            while page < stop:
+                while q < len(queues) and queues[q][1] <= page:
+                    q += 1  # that queue run ended before this page
+                if q == len(queues):
+                    end, queue = stop, 0.0
+                elif queues[q][0] <= page:
+                    end, queue = min(stop, queues[q][1]), queues[q][2]
+                else:
+                    end, queue = min(stop, queues[q][0]), 0.0
+                prediction = (sled.latency, sled.bandwidth, queue)
+                for p in range(page, end):
+                    predictions[(inode_id, p)] = prediction
+                page = end
         return npages
 
     def _consume(self, inode_id: int,
@@ -219,7 +238,7 @@ class SledAccuracyTracker:
         acc = self._by_class.setdefault(device_class, ClassAccuracy())
         acc.add(predicted, actual)
         if self._abs_error is not None:
-            self._abs_error.labels(cls=device_class).observe(
+            self._abs_error.child[device_class].observe(
                 abs(actual - predicted))
 
     def _record_component(self, device_class: str, component: str,

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from repro.obs.lifecycle import LifecycleRecord, critical_path
@@ -62,6 +62,9 @@ __all__ = [
 #: blame vector is an own-service component carried over from the record)
 _PLUG = "plug_hold"
 _UNTRACKED = "queue:untracked"
+#: the part of the untracked remainder finer than the last bit of the
+#: ``queue:untracked`` residual (see :meth:`BlameEngine._close`)
+_SUB_ULP = "queue:untracked:sub_ulp"
 
 
 def _aggressor_of(key: str) -> str | None:
@@ -74,7 +77,7 @@ def _aggressor_of(key: str) -> str | None:
         return "prefetch"
     if key == "queue:other":
         return "other"
-    if key == _UNTRACKED:
+    if key in (_UNTRACKED, _SUB_ULP):
         return "untracked"
     if key == _PLUG:
         return "plug"
@@ -218,6 +221,11 @@ class BlameEngine:
     3. whatever remains (device idle while the elevator chose someone
        else's direction, or history-ring eviction) → ``queue:untracked``.
 
+    A device queue appends to its history at dispatch and dispatches
+    serially, so service starts and finishes never decrease along the
+    ring; step 2 bisects for the entries overlapping the window instead
+    of scanning the whole ring per record.
+
     Own-service components carry over from the record's closed
     breakdown, and the whole vector is re-closed the same way the
     lifecycle layer closes records: ``math.fsum(blame.values())``
@@ -231,6 +239,8 @@ class BlameEngine:
         self.engine = engine
         self._fs_device: dict[str, str] = {}
         self._histories: dict[str, tuple] = {}
+        #: per device: (service starts, service finishes) of its history
+        self._edges: dict[str, tuple[list[float], list[float]]] = {}
         self._holds: dict[tuple, object] = {}
         self.refresh()
 
@@ -240,6 +250,10 @@ class BlameEngine:
                            for _, fs in self.kernel.mounts()}
         if self.engine is not None:
             self._histories = self.engine.dispatch_histories()
+            self._edges = {
+                device: ([disp.start for disp in history],
+                         [disp.finish for disp in history])
+                for device, history in self._histories.items()}
             self._holds = self.engine.hold_histories()
         return self
 
@@ -263,16 +277,34 @@ class BlameEngine:
             if held > 0.0:
                 parts[_PLUG] = held
             window = min(max(submit, hold.unplug_time), start)
-        if start > window:
-            device = self._fs_device.get(record.fs)
-            for disp in self._histories.get(device, ()):
-                lo = max(disp.start, window)
-                hi = min(disp.finish, start)
-                if hi <= lo:
-                    continue
-                key = self._queue_key(disp, record)
-                parts[key] = parts.get(key, 0.0) + (hi - lo)
+        for disp, lo, hi in self._occupancy(record, window):
+            key = self._queue_key(disp, record)
+            parts[key] = parts.get(key, 0.0) + (hi - lo)
         return self._close(parts, record.latency)
+
+    def _occupancy(self, record: LifecycleRecord, window: float):
+        """``(dispatch, lo, hi)`` for every dispatch-history entry on the
+        record's device whose service overlaps ``[window, start_time)``,
+        oldest first, clipped to that window.  Starts and finishes never
+        decrease along a history, so the overlapping entries are exactly
+        those from the first finishing after ``window`` up to the last
+        starting before ``start_time``."""
+        start = record.start_time
+        if start <= window:
+            return
+        device = self._fs_device.get(record.fs)
+        edges = self._edges.get(device)
+        if edges is None:
+            return
+        starts, finishes = edges
+        history = self._histories[device]
+        for i in range(bisect_right(finishes, window),
+                       bisect_left(starts, start)):
+            disp = history[i]
+            lo = max(disp.start, window)
+            hi = min(disp.finish, start)
+            if hi > lo:
+                yield disp, lo, hi
 
     @staticmethod
     def _queue_key(disp, record: LifecycleRecord) -> str:
@@ -290,7 +322,15 @@ class BlameEngine:
         """Close the vector so its ``fsum`` equals ``latency`` exactly;
         the correction lands in ``queue:untracked`` (same iterative
         residual scheme as the lifecycle record closure — ``fsum`` is
-        correctly rounded, so insertion order is irrelevant)."""
+        correctly rounded, so insertion order is irrelevant).
+
+        When the residual shares the latency's binade and the exact sum
+        falls on a rounding tie, no single double closes the vector: the
+        two candidate residuals either side of the tie round away from
+        ``latency`` in turn.  The exact remainder past the residual, a
+        fraction of its last bit, is then carried on its own under
+        ``queue:untracked:sub_ulp`` — it belongs to the untracked column
+        of the interference matrix, like the residual."""
         parts = {name: seconds for name, seconds in parts.items()
                  if seconds != 0.0}
         values = list(parts.values())
@@ -313,6 +353,9 @@ class BlameEngine:
             err = latency - math.fsum([*values, residual])
         if residual != 0.0:
             parts[_UNTRACKED] = residual
+        if err != 0.0:
+            parts[_SUB_ULP] = math.fsum(
+                [latency, *(-value for value in values), -residual])
         return parts
 
     # -- the waterfall -----------------------------------------------------
@@ -333,17 +376,11 @@ class BlameEngine:
                               "t0": submit, "t1": end,
                               "detail": f"coalesced x{hold.members}"})
             window = end
-        if start > window:
-            device = self._fs_device.get(record.fs)
-            for disp in self._histories.get(device, ()):
-                lo = max(disp.start, window)
-                hi = min(disp.finish, start)
-                if hi <= lo:
-                    continue
-                spans.append({"phase": "queue",
-                              "who": self._queue_key(disp, record),
-                              "t0": lo, "t1": hi,
-                              "detail": disp.label})
+        for disp, lo, hi in self._occupancy(record, window):
+            spans.append({"phase": "queue",
+                          "who": self._queue_key(disp, record),
+                          "t0": lo, "t1": hi,
+                          "detail": disp.label})
         spans.sort(key=lambda s: (s["t0"], s["t1"]))
         spans.append({"phase": "service", "who": "service",
                       "t0": start, "t1": record.finish_time,

@@ -329,14 +329,13 @@ class LifecycleTracker:
         self.records.append(rec)
         if self._records_total is not None:
             cls = device_class
-            self._records_total.labels(cls=cls, kind=kind).inc()
-            self._request_seconds.labels(cls=cls).observe(latency)
+            self._records_total.child[(cls, kind)].inc()
+            self._request_seconds.child[cls].observe(latency)
+            components = self._component_seconds.child
             if queue_wait != 0.0:
-                self._component_seconds.labels(
-                    cls=cls, component="queue").observe(queue_wait)
+                components[(cls, "queue")].observe(queue_wait)
             for name, seconds in closed:
-                self._component_seconds.labels(
-                    cls=cls, component=name).observe(seconds)
+                components[(cls, name)].observe(seconds)
         for observer in self.observers:
             observer(rec)
         return rec

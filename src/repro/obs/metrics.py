@@ -59,6 +59,24 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
+def bucket_quantile(bounds: tuple[float, ...], counts, count: int,
+                    q: float) -> float:
+    """Approximate quantile of a bucketed distribution: the upper edge of
+    the bucket holding it.  ``counts`` holds one count per finite bucket
+    plus the overflow bucket; ``count`` is their total."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1]: {q}")
+    if count == 0:
+        return 0.0
+    target = q * count
+    seen = 0
+    for i, n in enumerate(counts):
+        seen += n
+        if seen >= target and n:
+            return bounds[i] if i < len(bounds) else bounds[-1]
+    return bounds[-1]
+
+
 class Counter:
     """A monotonically increasing sample."""
 
@@ -126,18 +144,7 @@ class Histogram:
 
     def quantile(self, q: float) -> float:
         """Approximate quantile: the upper edge of the bucket holding it."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1]: {q}")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        for i, n in enumerate(self.counts):
-            seen += n
-            if seen >= target and n:
-                return (self.bounds[i] if i < len(self.bounds)
-                        else self.bounds[-1])
-        return self.bounds[-1]
+        return bucket_quantile(self.bounds, self.counts, self.count, q)
 
     def to_dict(self) -> dict:
         return {"buckets": {_fmt(b): c for b, c in
@@ -170,7 +177,8 @@ class Family:
     def __init__(self, name: str, help_text: str,
                  label_names: tuple[str, ...], factory,
                  spec: tuple | None = None,
-                 max_cardinality: int = 1024) -> None:
+                 max_cardinality: int = 1024,
+                 registry: "MetricsRegistry | None" = None) -> None:
         self.name = name
         self.help_text = help_text
         self.schema = _LabelSchema(tuple(label_names))
@@ -182,6 +190,14 @@ class Family:
         self.overflows = 0
         self._warned_overflow = False
         self._children: dict[tuple[str, ...], object] = {}
+        #: the owning registry, told of every new child
+        self._registry = registry
+        #: label values -> child, for hot callers: ``fam.child[value]``
+        #: (``fam.child[(v1, v2)]`` with several labels) is
+        #: ``fam.labels(...)`` resolved once per label set
+        self.child = ChildCache(self)
+        #: the one child of an unlabelled family, once it exists
+        self._sole = None
 
     @property
     def kind(self) -> str:
@@ -194,8 +210,13 @@ class Family:
         if child is None:
             if len(self._children) >= self.max_cardinality:
                 return self._overflow_child()
-            child = self._factory()
-            self._children[key] = child
+            child = self._add_child(key)
+        return child
+
+    def _add_child(self, key: tuple[str, ...]):
+        child = self._children[key] = self._factory()
+        if self._registry is not None:
+            self._registry.generation += 1
         return child
 
     def _overflow_child(self):
@@ -211,17 +232,20 @@ class Family:
         key = tuple("_overflow" for _ in self.schema.names)
         child = self._children.get(key)
         if child is None:
-            child = self._factory()
-            self._children[key] = child
+            child = self._add_child(key)
         return child
 
     # -- unlabeled convenience proxies ---------------------------------
 
     def _only(self):
-        if self.schema.names:
-            raise ValueError(
-                f"{self.name} has labels {self.schema.names}; use .labels()")
-        return self.labels()
+        child = self._sole
+        if child is None:
+            if self.schema.names:
+                raise ValueError(f"{self.name} has labels "
+                                 f"{self.schema.names}; use .labels()")
+            # an unlabelled family has one child and never overflows
+            child = self._sole = self.labels()
+        return child
 
     def inc(self, amount: float = 1.0) -> None:
         self._only().inc(amount)
@@ -243,6 +267,37 @@ class Family:
                 for key in sorted(self._children)]
 
 
+class ChildCache(dict):
+    """Label values -> child of one family, resolved once and kept
+    (:attr:`Family.child`).
+
+    A hot caller indexes ``cache[value]`` (``cache[(v1, v2)]`` for a
+    family with several labels, values in schema order) instead of
+    paying a :meth:`Family.labels` lookup per event.  A missing entry
+    resolves through :meth:`Family.labels` on first use, so a child
+    still comes into existence only when something is recorded into it
+    and no export gains a series.  The shared ``_overflow`` sink is never
+    kept: every lookup collapsed into it still counts in
+    :attr:`Family.overflows`.
+    """
+
+    __slots__ = ("family",)
+
+    def __init__(self, family: Family) -> None:
+        super().__init__()
+        self.family = family
+
+    def __missing__(self, key):
+        family = self.family
+        names = family.schema.names
+        values = (key,) if len(names) == 1 else key
+        overflows = family.overflows
+        child = family.labels(**dict(zip(names, values)))
+        if family.overflows == overflows:
+            self[key] = child
+        return child
+
+
 class MetricsRegistry:
     """Registry of metric families with deterministic export."""
 
@@ -254,6 +309,10 @@ class MetricsRegistry:
         self.namespace = namespace
         self.max_label_cardinality = max_label_cardinality
         self._families: dict[str, Family] = {}
+        #: bumped whenever a family or a child is created, so a reader
+        #: that caches the registry's shape (the time-series recorder's
+        #: row layout) knows when to rebuild it
+        self.generation = 0
 
     def _register(self, name: str, help_text: str,
                   labels: tuple[str, ...], factory,
@@ -274,8 +333,10 @@ class MetricsRegistry:
                 f"{existing.help_text!r}; conflicting re-registration as "
                 f"{spec[0]}{tuple(labels)} {help_text!r}")
         family = Family(name, help_text, labels, factory, spec=spec,
-                        max_cardinality=self.max_label_cardinality)
+                        max_cardinality=self.max_label_cardinality,
+                        registry=self)
         self._families[name] = family
+        self.generation += 1
         return family
 
     def counter(self, name: str, help_text: str,

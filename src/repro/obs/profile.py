@@ -35,7 +35,7 @@ SITES = {
     "event_loop.dispatch": "EventLoop.step: pop + fire one event",
     "kernel.sled_build": "Kernel ioctl FSLEDS_GET: build_sled_vector",
     "cache.residency": "PageCache.insert: residency update + eviction",
-    "cache.resident_runs": "PageCache.resident_runs: interval-run query",
+    "cache.resident_runs": "build_sled_vector: resident interval-run query",
     "block.merge_flush": "PlugQueue.flush: coalesce + dispatch",
     "kernel.fault_batch": "Kernel._fault_in_batch: vectorised fault span",
     "device.batch_math": "Device.read_run: whole-run latency kernels",

@@ -384,10 +384,10 @@ class SloTracker:
             if violated:
                 violated_names.append(name)
             if self._graded is not None:
-                self._graded.labels(slo=name).inc()
+                self._graded.child[name].inc()
                 if violated:
-                    self._violated.labels(slo=name).inc()
-                self._burn.labels(slo=name).set(state.burn_rate)
+                    self._violated.child[name].inc()
+                self._burn.child[name].set(state.burn_rate)
         if not matched:
             self.unmatched += 1
         elif self.track_tenants and record.tenant is not None:
@@ -399,9 +399,9 @@ class SloTracker:
             state.observe(latency, bool(violated_names), min_budget,
                           queue_wait)
             if self._tenant_graded is not None:
-                self._tenant_graded.labels(tenant=tenant).inc()
+                self._tenant_graded.child[tenant].inc()
                 if violated_names:
-                    self._tenant_violated.labels(tenant=tenant).inc()
+                    self._tenant_violated.child[tenant].inc()
         if violated_names:
             for hook in self.on_violation:
                 hook(record, violated_names)

@@ -247,26 +247,18 @@ class Telemetry:
     def syscall_end(self, open_span, t: float) -> None:
         self._drain_pending(parent_id=open_span.id, floor=open_span.start)
         self.spans.end(open_span, t)
-        self.syscalls.labels(name=open_span.name).inc()
-        self.syscall_latency.labels(name=open_span.name).observe(
-            t - open_span.start)
+        name = open_span.name
+        self.syscalls.child[name].inc()
+        self.syscall_latency.child[name].observe(t - open_span.start)
         self._tick(t)
 
     def on_fault(self, device, inode_id: int, page: int, cluster: int,
                  seconds: float, now: float, window: int,
-                 fs=None, completion=None, components=None,
-                 _handles=None) -> None:
+                 fs=None, completion=None, components=None) -> None:
         cls = device.time_category
-        if _handles is None:
-            # per-call label resolution; TelemetryBatch.flush memoises
-            # these three children per device class and passes them in
-            _handles = (self.faults.labels(device=cls),
-                        self.fault_latency.labels(device=cls),
-                        self.fault_cluster.labels(device=cls))
-        fault_counter, latency_hist, cluster_hist = _handles
-        fault_counter.inc()
-        latency_hist.observe(seconds)
-        cluster_hist.observe(cluster)
+        self.faults.child[cls].inc()
+        self.fault_latency.child[cls].observe(seconds)
+        self.fault_cluster.child[cls].observe(cluster)
         self.readahead_window.set(window)
         if cluster > 1:
             self.readahead_issued.inc(cluster - 1)
@@ -364,40 +356,41 @@ class Telemetry:
         self._pending_ra.add(key)
 
     def on_metadata(self, fs_name: str, seconds: float) -> None:
-        self.metadata_latency.labels(fs=fs_name).observe(seconds)
+        self.metadata_latency.child[fs_name].observe(seconds)
 
     def on_queue_depth(self, device, depth: int) -> None:
-        self.queue_depth.labels(device=device.name).observe(depth)
+        self.queue_depth.child[device.name].observe(depth)
 
     def on_io_queued(self, device, depth: int) -> None:
         """A request entered the device's event queue (engine attached)."""
-        self.queue_depth_now.labels(device=device.name).set(depth)
+        self.queue_depth_now.child[device.name].set(depth)
 
     def on_io_dispatched(self, device, wait: float, depth: int) -> None:
         """A queued request started service after ``wait`` virtual
         seconds; ``depth`` counts it plus whatever is still waiting."""
-        self.queue_wait.labels(device=device.name).observe(wait)
-        self.queue_depth_now.labels(device=device.name).set(depth)
+        name = device.name
+        self.queue_wait.child[name].observe(wait)
+        self.queue_depth_now.child[name].set(depth)
 
     def on_io_completed(self, device, depth: int) -> None:
         """A request finished service; ``depth`` is what is still
         queued (0 when the device goes idle)."""
-        self.queue_depth_now.labels(device=device.name).set(depth)
+        self.queue_depth_now.child[device.name].set(depth)
 
     def on_merge(self, device, members: int, nbytes: int) -> None:
         """The block layer coalesced ``members`` requests into one
         ``nbytes`` union dispatch."""
         name = device.name
-        self.merged_requests.labels(device=name).inc(members - 1)
-        self.merge_members.labels(device=name).observe(members)
-        self.merged_bytes.labels(device=name).inc(nbytes)
+        self.merged_requests.child[name].inc(members - 1)
+        self.merge_members.child[name].observe(members)
+        self.merged_bytes.child[name].inc(nbytes)
 
     def on_plug(self, device, wait: float, batch: int) -> None:
         """One plugged request was released after ``wait`` virtual
         seconds, in a flush of ``batch`` requests."""
         name = device.name
-        self.plug_latency.labels(device=name).observe(wait)
-        self.plug_batch.labels(device=name).observe(batch)
+        self.plug_latency.child[name].observe(wait)
+        self.plug_batch.child[name].observe(batch)
 
     def on_prefetch_issued(self, pages: int) -> None:
         self.prefetch_issued.inc(pages)
@@ -443,24 +436,48 @@ class Telemetry:
                  queue_delays=None) -> None:
         self.sleds_requests.inc()
         self.sleds_vector_sleds.observe(len(vector))
-        queue_by_page = None
+        queue_runs = None
         if fs is not None and inode is not None and queue_delays:
-            # split each non-resident page's predicted latency into its
-            # queue term (what resolve_estimate folded in) and the rest,
-            # so fault-time errors attribute to queue vs. service
-            cache = self._kernel.page_cache if self._kernel else None
-            queue_by_page = {}
-            page = 0
-            for run, estimate in fs.span_estimates(inode, 0, inode.npages):
-                queue = estimate.queue_delay + queue_delays.get(
-                    estimate.device_key, 0.0)
-                if queue > 0.0:
-                    for p in range(page, page + run):
-                        if cache is None or not cache.peek((inode.id, p)):
-                            queue_by_page[p] = queue
-                page += run
+            queue_runs = self._queue_runs(fs, inode, queue_delays)
         self.accuracy.record_prediction(inode_id, vector,
-                                        queue_by_page=queue_by_page)
+                                        queue_runs=queue_runs)
+
+    def _queue_runs(self, fs, inode, queue_delays
+                    ) -> list[tuple[int, int, float]]:
+        """Split each non-resident page's predicted latency into its
+        queue term (what resolve_estimate folded in) and the rest, so
+        fault-time errors attribute to queue vs. service: the page runs
+        ``(start, end, queue seconds)`` with a positive queue term, in
+        file order — the filesystem's estimate runs minus the cache's
+        resident runs."""
+        npages = inode.npages
+        cache = self._kernel.page_cache if self._kernel else None
+        gaps = []  # non-resident page runs
+        cursor = 0
+        if cache is not None:
+            for start, stop in cache.resident_runs(inode.id, npages):
+                if start > cursor:
+                    gaps.append((cursor, start))
+                cursor = stop
+        if cursor < npages:
+            gaps.append((cursor, npages))
+        runs = []
+        g = 0
+        page = 0
+        for run, estimate in fs.span_estimates(inode, 0, npages):
+            end = page + run
+            queue = estimate.queue_delay + queue_delays.get(
+                estimate.device_key, 0.0)
+            if queue > 0.0:
+                while g < len(gaps) and gaps[g][1] <= page:
+                    g += 1
+                k = g
+                while k < len(gaps) and gaps[k][0] < end:
+                    runs.append((max(page, gaps[k][0]),
+                                 min(end, gaps[k][1]), queue))
+                    k += 1
+            page = end
+        return runs
 
     def on_migration(self, files: int, seconds: float) -> None:
         self.migrated_files.inc(files)
@@ -474,9 +491,9 @@ class Telemetry:
                          seconds: float, is_write: bool) -> None:
         op = "write" if is_write else "read"
         name = device.name
-        self.device_access.labels(device=name, op=op).inc()
-        self.device_bytes.labels(device=name, op=op).inc(nbytes)
-        self.device_latency.labels(device=name).observe(seconds)
+        self.device_access.child[(name, op)].inc()
+        self.device_bytes.child[(name, op)].inc(nbytes)
+        self.device_latency.child[name].observe(seconds)
         if self.spans.open_depth > 0 and self._kernel is not None:
             self._pending_dev.append(
                 (self._kernel.clock.now, name, seconds, nbytes, op))
@@ -499,20 +516,19 @@ class Telemetry:
 
     def on_cache_access(self, key, hit: bool) -> None:
         if hit:
-            self.cache_hits.labels(policy=self._policy_name).inc()
+            self.cache_hits.child[self._policy_name].inc()
             if key in self._pending_ra:
                 self._pending_ra.discard(key)
                 self.readahead_used.inc()
         else:
-            self.cache_misses.labels(policy=self._policy_name).inc()
+            self.cache_misses.child[self._policy_name].inc()
 
     def on_cache_insert(self, key) -> None:
-        self.cache_insertions.labels(policy=self._policy_name).inc()
+        self.cache_insertions.child[self._policy_name].inc()
 
     def on_cache_evict(self, key, forced: bool) -> None:
-        self.cache_evictions.labels(
-            policy=self._policy_name,
-            forced="true" if forced else "false").inc()
+        self.cache_evictions.child[
+            (self._policy_name, "true" if forced else "false")].inc()
         self._pending_ra.discard(key)
 
     def on_cache_remove(self, key) -> None:
@@ -527,26 +543,27 @@ class Telemetry:
         kernel = self._kernel
         if kernel is None:
             return
+        virtual_time = self.virtual_time.child
         for category, seconds in sorted(kernel.clock.categories().items()):
-            self.virtual_time.labels(category=category).set(seconds)
-        self.virtual_time.labels(category="total").set(kernel.clock.now)
+            virtual_time[category].set(seconds)
+        virtual_time["total"].set(kernel.clock.now)
         self.cache_resident.set(len(kernel.page_cache))
+        kernel_counter = self.kernel_counter.child
         for name, value in sorted(vars(kernel.counters).items()):
             if isinstance(value, dict):
                 # per-tenant dict counters export as their own labeled
                 # family; a flat gauge can't hold a dict
                 for tenant in sorted(value):
-                    self.kernel_counter_tenant.labels(
-                        name=name, tenant=tenant).set(value[tenant])
+                    self.kernel_counter_tenant.child[(name, tenant)].set(
+                        value[tenant])
                 continue
-            self.kernel_counter.labels(name=name).set(value)
+            kernel_counter[name].set(value)
         for device in self._observed_devices:
-            self.device_busy.labels(device=device.name).set(
-                device.stats.busy_time)
+            self.device_busy.child[device.name].set(device.stats.busy_time)
         for _, fs in kernel.mounts():
             ops = getattr(fs, "metadata_ops", None)
             if ops is not None:
-                self.remote_metadata_ops.labels(fs=fs.name).set(ops)
+                self.remote_metadata_ops.child[fs.name].set(ops)
 
     def render_prometheus(self) -> str:
         """Prometheus text exposition (refreshes snapshot gauges first)."""
@@ -575,11 +592,9 @@ class TelemetryBatch:
 
     The engine's batched fault path (``Kernel._fault_in_runs``) completes
     every miss run of a span in one parked wait, then walks the
-    completions.  Calling ``on_fault`` per run from inside that walk pays
-    three metric-label resolutions and the full fan-out per fault;
-    :meth:`add` instead captures the call's arguments, and :meth:`flush`
-    replays them *in the original order* with the per-device-class label
-    children resolved once per batch.
+    completions.  Instead of the full ``on_fault`` fan-out per run from
+    inside that walk, :meth:`add` captures the call's arguments, and
+    :meth:`flush` replays them *in the original order*.
 
     Replay order is the only thing that moves: ``on_fault`` neither reads
     nor writes anything the interleaved cache inserts touch, *except* the
@@ -591,12 +606,11 @@ class TelemetryBatch:
     those of the undeferred path.
     """
 
-    __slots__ = ("_telemetry", "_events", "_handles")
+    __slots__ = ("_telemetry", "_events")
 
     def __init__(self, telemetry: Telemetry) -> None:
         self._telemetry = telemetry
         self._events: list = []
-        self._handles: dict = {}
 
     @property
     def telemetry(self) -> Telemetry:
@@ -614,19 +628,9 @@ class TelemetryBatch:
         events = self._events
         if not events:
             return
-        telemetry = self._telemetry
-        on_fault = telemetry.on_fault
-        handles = self._handles
+        on_fault = self._telemetry.on_fault
         for (device, inode_id, page, cluster, seconds,
              now, window, fs, completion) in events:
-            cls = device.time_category
-            h = handles.get(cls)
-            if h is None:
-                h = handles[cls] = (
-                    telemetry.faults.labels(device=cls),
-                    telemetry.fault_latency.labels(device=cls),
-                    telemetry.fault_cluster.labels(device=cls))
             on_fault(device, inode_id, page, cluster, seconds,
-                     now=now, window=window, fs=fs, completion=completion,
-                     _handles=h)
+                     now=now, window=window, fs=fs, completion=completion)
         events.clear()

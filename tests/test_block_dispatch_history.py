@@ -89,6 +89,39 @@ class TestDispatchHistory:
         assert good.value is not None
         assert [d.label for d in queue.recent_dispatches()] == ["good"]
 
+    def test_history_edges_never_decrease(self):
+        """The blame engine bisects each history by service start and
+        finish, which needs both to be non-decreasing with each finish
+        at or before the next start — across a failed dispatch, a
+        cancellation, arrivals while busy and after idling, and a
+        synchronous access that pushes the device's own horizon past the
+        queue's clock."""
+        queue, loop = _queue()
+        device = queue.device
+        device.submit(64 * PAGE_SIZE, 8 * PAGE_SIZE, False, now=0.0)
+        device.inject_failures(1)
+        futures = [queue.submit(i * 16 * PAGE_SIZE, PAGE_SIZE,
+                                is_write=False, label=f"a{i}",
+                                tenant=f"t{i % 2}")
+                   for i in range(5)]
+        assert queue.cancel(futures[3])
+
+        def arrive(label):
+            queue.submit(3 * PAGE_SIZE, 2 * PAGE_SIZE, is_write=False,
+                         label=label)
+
+        loop.at(0.001, lambda: arrive("busy"))
+        loop.at(5.0, lambda: arrive("idle"))
+        loop.run_until_idle()
+        hist = queue.recent_dispatches()
+        assert futures[0].exception is not None
+        assert [d.label for d in hist] == ["a1", "a2", "a4", "busy", "idle"]
+        for prev, nxt in zip(hist, hist[1:]):
+            assert prev.start <= nxt.start
+            assert prev.finish <= nxt.finish
+            assert prev.finish <= nxt.start
+        assert all(d.start <= d.finish for d in hist)
+
     def test_ring_is_bounded_with_drop_counter(self):
         queue, loop = _queue(history=4)
         for i in range(10):

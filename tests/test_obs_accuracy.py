@@ -1,6 +1,8 @@
 """Tests for SLED prediction-accuracy tracking."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.sled import Sled, SledVector
 from repro.obs.accuracy import ClassAccuracy, SledAccuracyTracker
@@ -121,3 +123,37 @@ class TestTracker:
         assert tracker.outstanding == 0
         assert tracker.unmatched_faults == 0
         assert tracker.report().by_class == {}
+
+
+class TestRunWalk:
+    """``record_prediction`` walks SLED runs split at queue-run edges;
+    the per-page binary-search loop it replaced is the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_page_oracle(self, data):
+        from tests.oracles.accuracy import predictions_per_page
+
+        size = data.draw(st.integers(1, 40 * PAGE_SIZE))
+        # byte-granular SLED edges: a page takes the SLED holding its
+        # first byte, wherever the edges fall
+        edges = sorted(set(data.draw(st.lists(
+            st.integers(1, size - 1), max_size=8)) if size > 1 else []))
+        bounds = [0, *edges, size]
+        sleds = [Sled(lo, hi - lo, 0.001 * (i + 1), 1e6 * (i % 3 + 1))
+                 for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+        vector = SledVector(sleds, file_size=size, coalesce=False)
+        npages = -(-size // PAGE_SIZE)
+        cuts = sorted(set(data.draw(st.lists(
+            st.integers(0, npages), max_size=8))))
+        queue_runs = [(lo, hi, 0.25 * (i + 1))
+                      for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+                      if hi > lo and i % 2 == 0]
+        tracker = SledAccuracyTracker()
+        tracker._predictions[(7, npages // 2)] = (9.0, 9.0, 9.0)
+        assert tracker.record_prediction(7, vector, queue_runs) == npages
+        expected = {(7, npages // 2): None}
+        expected.update(predictions_per_page(
+            7, vector, {p: queue for lo, hi, queue in queue_runs
+                        for p in range(lo, hi)}))
+        assert list(tracker._predictions.items()) == list(expected.items())

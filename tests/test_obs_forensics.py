@@ -29,10 +29,13 @@ from repro.obs.forensics import (
     folded_blame,
     folded_critical_path,
 )
+from repro.obs.accuracy import SledAccuracyTracker
 from repro.obs.lifecycle import LifecycleRecord, LifecycleTracker, critical_path
 from repro.sim.engine import IoEngine
 from repro.sim.tasks import EventScheduler, Task
 from repro.sim.units import PAGE_SIZE
+from tests.oracles.accuracy import predictions_per_page, queue_by_page
+from tests.oracles.forensics import blame_full_scan, occupancy_full_scan
 
 PROFILES = ("ext2", "cdrom", "nfs", "hsm")
 
@@ -57,12 +60,15 @@ def _setup(profile: str, seed: int, pages: int):
     return machine, f"/mnt/{profile}/f"
 
 
-def _tenant_readers(kernel, path, pages, readers=3, chunk_pages=2):
+def _tenant_readers(kernel, path, pages, readers=3, chunk_pages=2,
+                    sleds=False):
     nchunks = max(1, pages // chunk_pages)
 
     def reader(start):
         fd = kernel.open(path)
         for chunk in range(start, nchunks, readers):
+            if sleds:
+                kernel.get_sleds(fd)
             yield from kernel.pread_async(
                 fd, chunk * chunk_pages * PAGE_SIZE,
                 chunk_pages * PAGE_SIZE)
@@ -72,12 +78,50 @@ def _tenant_readers(kernel, path, pages, readers=3, chunk_pages=2):
             for i in range(readers)]
 
 
+def _check_predictions(telemetry, checked: list) -> None:
+    """Route every FSLEDS_GET snapshot past the per-page oracle: the
+    run walk (queue split included) must build the same predictions,
+    insertion order included.  ``checked`` collects one entry per call:
+    whether any page predicted queueing."""
+    on_sleds = telemetry.on_sleds
+    accuracy = telemetry.accuracy
+
+    def spy(inode_id, vector, fs=None, inode=None, queue_delays=None):
+        queues = queue_by_page(telemetry._kernel, fs, inode, queue_delays)
+        expected = predictions_per_page(inode_id, vector, queues)
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs))
+            return SledAccuracyTracker.record_prediction(accuracy, *args,
+                                                         **kwargs)
+
+        accuracy.record_prediction = record
+        try:
+            on_sleds(inode_id, vector, fs=fs, inode=inode,
+                     queue_delays=queue_delays)
+        finally:
+            del accuracy.record_prediction
+        (args, kwargs), = calls
+        fresh = SledAccuracyTracker()
+        fresh.record_prediction(*args, **kwargs)
+        assert list(fresh._predictions.items()) == list(expected.items())
+        checked.append(bool(queues))
+
+    telemetry.on_sleds = spy
+
+
 def _forensic_run(profile, seed, pages, scheduler="clook",
-                  block=MERGE_ALL, track_tenants=True):
+                  block=MERGE_ALL, track_tenants=True, checked=None):
+    """A contended multi-tenant run with the full stack attached; with
+    ``checked`` the readers also ask for SLEDs before every read and
+    each snapshot is checked against the per-page oracle."""
     machine, path = _setup(profile, seed, pages)
     kernel = machine.kernel
     telemetry = Telemetry()
     telemetry.attach(kernel)
+    if checked is not None:
+        _check_predictions(telemetry, checked)
     slo = SloTracker.for_classes(
         SLO_OBJECTIVES, registry=telemetry.registry,
         track_tenants=track_tenants).attach(telemetry)
@@ -86,7 +130,8 @@ def _forensic_run(profile, seed, pages, scheduler="clook",
                         block=block))
     forensics = LatencyForensics(kernel, engine).attach(telemetry,
                                                         slo=slo)
-    tasks = _tenant_readers(kernel, path, pages)
+    tasks = _tenant_readers(kernel, path, pages,
+                            sleds=checked is not None)
     EventScheduler(kernel, tasks, engine=engine).run()
     return machine, telemetry, slo, forensics
 
@@ -98,10 +143,15 @@ class TestBlameClosure:
     def test_blame_fsums_to_latency_exactly(self, seed, pages, scheduler):
         """The acceptance identity: across every personality, with the
         block layer on and under the fair elevator, every blame vector
-        closes bit-exactly."""
+        closes bit-exactly.  Along the way: the bisected history walk
+        matches the full-scan oracle key for key and in order, waterfall
+        queue spans included, and every FSLEDS_GET snapshot matches the
+        per-page oracle."""
         for profile in PROFILES:
+            checked = []
             _, telemetry, _, forensics = _forensic_run(
-                profile, seed, pages, scheduler=scheduler)
+                profile, seed, pages, scheduler=scheduler, checked=checked)
+            assert checked
             blame_engine = forensics.blame_engine()
             records = list(telemetry.lifecycle.records)
             assert records
@@ -110,6 +160,48 @@ class TestBlameClosure:
                 assert math.fsum(blame.values()) == rec.latency, (
                     f"{profile}/{scheduler}: blame does not close for "
                     f"record {rec.id}")
+                assert list(blame.items()) == list(
+                    blame_full_scan(blame_engine, rec).items())
+            for rec in records[::7]:
+                spans = [(s["who"], s["t0"], s["t1"], s["detail"])
+                         for s in blame_engine.waterfall(rec)["spans"]
+                         if s["phase"] == "queue"]
+                assert spans == occupancy_full_scan(blame_engine, rec)
+
+    def test_run_walk_predictions_see_queue_terms(self):
+        """The snapshot check above must also cover queue runs: under
+        contention some FSLEDS_GET calls predict queueing."""
+        checked = []
+        _forensic_run("ext2", 3, 36, checked=checked)
+        assert any(checked) and not all(checked)
+
+    def test_sub_ulp_remainder_closes_a_rounding_tie(self):
+        """Regression (``observed`` workload, seed 12, record 24): the
+        untracked residual shares the latency's binade and the exact sum
+        lands on a rounding tie, so no single residual closes the
+        vector.  The remainder past the residual is carried on its own
+        and counts in the matrix's untracked column."""
+        parts = {"noise": -1.6653345369377348e-16,
+                 "overhead": 0.0002999999999999947,
+                 "positioning": 0.00582398470297929,
+                 "transfer": 0.0028409090909091717,
+                 "queue:tenant:t0": 0.04750028896245502,
+                 "queue:self": 0.0373372939351416}
+        latency = 0.21965444643790674
+        blame = BlameEngine._close(dict(parts), latency)
+        assert math.fsum(blame.values()) == latency
+        assert {k: blame[k] for k in parts} == parts
+        residual = blame["queue:untracked"]
+        remainder = blame["queue:untracked:sub_ulp"]
+        assert 0.0 < abs(remainder) < math.ulp(residual)
+        assert math.fsum([*parts.values(), residual]) != latency
+        matrix = InterferenceMatrix()
+        matrix.add(_record(tenant="a"), blame, "d0")
+        assert matrix.cell("d0", "a", "untracked") == math.fsum(
+            [residual, remainder])
+        assert matrix.row_totals()["a"] == math.fsum(
+            [residual, remainder, parts["queue:tenant:t0"],
+             parts["queue:self"]])
 
     def test_blame_closes_without_block_layer(self):
         """Straight-to-elevator submissions (no plug stage) must close

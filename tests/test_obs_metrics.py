@@ -229,3 +229,52 @@ class TestExposition:
         dump = json.dumps(self._registry().to_dict(), sort_keys=True)
         assert "repro_lat_seconds" in dump
         assert json.loads(dump)["repro_depth"]["series"][0]["value"] == 3.0
+
+
+class TestChildCache:
+    def test_resolves_once_and_creates_lazily(self):
+        reg = MetricsRegistry()
+        fam = reg.counter("reads_total", "Reads", labels=("device",))
+        pairs = reg.counter("ops_total", "Ops", labels=("device", "op"))
+        assert "reads_total" not in reg.render_prometheus()
+        fam.child["disk"].inc()
+        fam.child["disk"].inc(2)
+        pairs.child[("disk", "read")].inc()
+        assert fam.child["disk"] is fam.labels(device="disk")
+        assert fam.labels(device="disk").value == 3.0
+        assert pairs.child[("disk", "read")] is pairs.labels(
+            device="disk", op="read")
+        assert [labels for labels, _ in fam.children()] == [
+            {"device": "disk"}]
+
+    def test_overflow_sink_is_never_kept(self):
+        reg = MetricsRegistry(max_label_cardinality=1)
+        fam = reg.counter("reads_total", "Reads", labels=("device",))
+        fam.child["a"].inc()
+        with pytest.warns(RuntimeWarning):
+            fam.child["b"].inc()
+        fam.child["b"].inc()
+        assert "b" not in fam.child
+        # every collapsed lookup still counts
+        assert fam.overflows == 2
+        sink = dict((labels["device"], child.value)
+                    for labels, child in fam.children())
+        assert sink == {"a": 1.0, "_overflow": 2.0}
+
+    def test_registry_generation_tracks_shape_changes(self):
+        reg = MetricsRegistry()
+        seen = reg.generation
+        fam = reg.counter("reads_total", "Reads", labels=("device",))
+        assert reg.generation > seen
+        seen = reg.generation
+        reg.counter("reads_total", "Reads", labels=("device",))
+        fam.labels(device="a").inc()
+        assert reg.generation == seen + 1
+        seen = reg.generation
+        fam.labels(device="a").inc()
+        fam.child["a"].inc()
+        assert reg.generation == seen
+        gauge = reg.gauge("depth", "Depth")
+        gauge.set(1)
+        gauge.set(2)
+        assert reg.generation == seen + 2

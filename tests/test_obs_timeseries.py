@@ -285,3 +285,176 @@ class TestTelemetryIntegration:
             telemetry.enable_timeseries()
         telemetry.disable_timeseries()
         assert telemetry.timeseries is None
+
+
+class TestExportOracle:
+    """The production recorder stores numeric rows and formats on read;
+    the dict-row recorder it replaced (``tests/oracles/timeseries.py``)
+    formats at sample time.  Driven side by side over the same registry,
+    every export must come out identical."""
+
+    @staticmethod
+    def _pair(reg, **kwargs):
+        from tests.oracles.timeseries import TimeSeriesRecorder as Oracle
+        return TimeSeriesRecorder(reg, **kwargs), Oracle(reg, **kwargs)
+
+    @staticmethod
+    def _sample(new, oracle, t):
+        # the production recorder samples first, so a series its own
+        # snapshot hook creates is born inside its sample, not before
+        assert new.sample(t) == oracle.sample(t)
+
+    @staticmethod
+    def _assert_same(new, oracle):
+        assert new.samples == list(oracle.samples)
+        assert len(new) == len(oracle)
+        assert new.dropped == oracle.dropped
+        assert new.series() == oracle.series()
+        assert new.family_names_sampled() == oracle.family_names_sampled()
+        # unsorted: key order must match at every level too
+        assert json.dumps(new.to_dict()) == json.dumps(oracle.to_dict())
+        assert new.render_openmetrics() == oracle.render_openmetrics()
+
+    def _script(self, reg, new, oracle, start=0.0):
+        """Mutate the registry between samples: values, series born
+        mid-run, a histogram on its own bucket ladder."""
+        reads = reg.get("reads_total")
+        for step in range(6):
+            t = start + step * 0.5
+            reads.labels(device="disk").inc(step)
+            reg.get("depth").set(step * 1.5)
+            reg.get("lat_seconds").observe(0.003 * (step + 1) ** 3)
+            if step == 2:
+                reads.labels(device="nfs").inc()
+                reg.counter("late_total", "Born mid-run").inc(7)
+            if step >= 3:
+                reg.get("late_total").inc()
+                reg.histogram("sizes", "Sizes", labels=("cls",),
+                              buckets=(1.0, 4.0, 16.0)).labels(
+                    cls="disk").observe(step * 3)
+            self._sample(new, oracle, t)
+
+    def test_scripted_registry_with_births_and_hook(self):
+        reg = _registry()
+        depth = reg.get("depth")
+
+        def hook():
+            # from the fourth step on, the hook itself creates a series
+            if depth.labels().value >= 4.5:
+                reg.gauge("hooked", "Set by the hook",
+                          labels=("by",)).labels(by="hook").set(
+                    depth.labels().value)
+
+        new, oracle = self._pair(reg, snapshot_hook=hook)
+        self._script(reg, new, oracle)
+        assert any("hooked" in key for _, row in new.samples for key in row)
+        self._assert_same(new, oracle)
+
+    def test_overflow_child(self):
+        import warnings
+
+        reg = MetricsRegistry(namespace="repro", max_label_cardinality=2)
+        fam = reg.counter("reads_total", "Reads", labels=("device",))
+        reg.gauge("depth", "Depth")
+        reg.histogram("lat_seconds", "Latency", buckets=(0.01, 0.1, 1.0))
+        new, oracle = self._pair(reg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for i in range(5):
+                fam.labels(device=f"d{i}").inc()
+                self._sample(new, oracle, float(i))
+        assert fam.overflows == 3
+        assert any('device="_overflow"' in key for key in new.series())
+        self._assert_same(new, oracle)
+
+    def test_family_filter(self):
+        reg = _registry()
+        new, oracle = self._pair(reg, families=("depth", "lat_seconds"))
+        self._script(reg, new, oracle)
+        assert new.family_names_sampled() == ["depth", "lat_seconds"]
+        self._assert_same(new, oracle)
+
+    def test_ring_wrap_and_clear(self):
+        reg = _registry()
+        new, oracle = self._pair(reg, capacity=4, interval=0.5)
+        self._script(reg, new, oracle)
+        assert new.dropped == 2
+        self._assert_same(new, oracle)
+        new.clear()
+        oracle.clear()
+        self._assert_same(new, oracle)
+        for t in (10.0, 10.2, 10.5, 11.7, 11.8):
+            reg.get("depth").inc()
+            assert new.tick(t) == oracle.tick(t)
+        self._script(reg, new, oracle, start=20.0)
+        self._assert_same(new, oracle)
+
+    @pytest.mark.parametrize("buckets", [False, True])
+    def test_buckets_off_and_on_with_exemplars(self, buckets):
+        reg = TestOpenMetricsConformance()._request_registry()
+        reservoir = TestOpenMetricsConformance()._reservoir()
+        new, oracle = self._pair(reg, sample_buckets=buckets,
+                                 exemplars=reservoir)
+        request = reg.get("lifecycle_request_seconds")
+        component = reg.get("lifecycle_component_seconds")
+        for step in range(4):
+            request.labels(cls="disk").observe(0.02 * (step + 1))
+            request.labels(cls="nfs").observe(0.5 / (step + 1))
+            component.labels(cls="disk", component="transfer").observe(
+                0.04)
+            self._sample(new, oracle, 10.0 + step)
+        text = new.render_openmetrics()
+        assert (' # {trace_id="42"}' in text) is buckets
+        self._assert_same(new, oracle)
+
+    def test_telemetry_attached_engine_run(self):
+        """One engine run with the full stack ticking both recorders."""
+        from repro.block.merge import BlockConfig
+        from repro.obs import LatencyForensics, SloTracker
+        from repro.sim.tasks import EventScheduler, Task
+        from tests.oracles.timeseries import TimeSeriesRecorder as Oracle
+
+        machine = Machine.unix_utilities(cache_pages=64, seed=11)
+        machine.boot()
+        machine.ext2.create_text_file("f.txt", 96 * 4096, seed=3)
+        machine.nfs.create_text_file("g.txt", 48 * 4096, seed=4)
+        kernel = machine.kernel
+        telemetry = Telemetry()
+        telemetry.attach(kernel)
+        forensics = LatencyForensics(kernel)
+        new = telemetry.enable_timeseries(interval=0.002, capacity=64,
+                                          sample_buckets=True,
+                                          exemplars=forensics.reservoir)
+        oracle = Oracle(telemetry.registry, interval=0.002, capacity=64,
+                        snapshot_hook=telemetry.snapshot,
+                        sample_buckets=True,
+                        exemplars=forensics.reservoir)
+
+        class Both:
+            def tick(self, now):
+                assert new.tick(now) == oracle.tick(now)
+
+        telemetry.timeseries = Both()
+        slo = SloTracker.for_classes({"disk": 0.01, "nfs": 0.05},
+                                     registry=telemetry.registry,
+                                     track_tenants=True).attach(telemetry)
+        engine = kernel.attach_engine(block=BlockConfig(merge=True,
+                                                        plug=True))
+        forensics.attach(telemetry, slo=slo)
+
+        def reader(path, start, stride):
+            fd = kernel.open(path)
+            kernel.get_sleds(fd)
+            size = kernel.stat(path).size
+            for offset in range(start * 4096, size, stride * 4096):
+                yield from kernel.pread_async(fd, offset, 2 * 4096)
+            kernel.close(fd)
+
+        tasks = [Task(f"r{i}", reader(path, i, 3), tenant=f"t{i % 2}")
+                 for i, path in enumerate(["/mnt/ext2/f.txt"] * 3
+                                          + ["/mnt/nfs/g.txt"])]
+        EventScheduler(kernel, tasks, engine=engine).run()
+        self._sample(new, oracle, kernel.clock.now)
+        assert new.dropped > 0
+        assert len(new.family_names_sampled()) > 10
+        self._assert_same(new, oracle)
