@@ -238,8 +238,7 @@ class FairScheduler(IoScheduler):
         self.served_bytes: dict[str, int] = {}
 
     def clone(self) -> FairScheduler:
-        return FairScheduler(inner=self.inner,
-                             quantum_bytes=self.quantum_bytes)
+        return type(self)(inner=self.inner, quantum_bytes=self.quantum_bytes)
 
     @staticmethod
     def _tenant_key(request: IoRequest) -> str:
@@ -261,8 +260,17 @@ class FairScheduler(IoScheduler):
 
     def take_next(self, pending: list[IoRequest],
                   head_pos: int) -> IoRequest:
-        tenants = {self._tenant_key(r) for r in pending}
-        if len(tenants) == 1:
+        # one pass: each tenant's requests in pending order, tenants in
+        # first-arrival order
+        buckets: dict[str, list[IoRequest]] = {}
+        for request in pending:
+            key = request.tenant if request.tenant is not None else _NO_TENANT
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [request]
+            else:
+                bucket.append(request)
+        if len(buckets) == 1:
             # untenanted or single-tenant: pure position policy; drop any
             # stale DRR state so the next contended period starts fresh
             if self._ring:
@@ -275,30 +283,34 @@ class FairScheduler(IoScheduler):
                 self.served_bytes[key] = (
                     self.served_bytes.get(key, 0) + request.nbytes)
             return request
-        for request in pending:  # ring membership in first-arrival order
-            key = self._tenant_key(request)
-            if key not in self._deficits:
-                self._deficits[key] = 0.0
-                self._ring.append(key)
+        deficits = self._deficits
+        ring = self._ring
+        for key in buckets:  # ring membership in first-arrival order
+            if key not in deficits:
+                deficits[key] = 0.0
+                ring.append(key)
         while True:
-            if self._cursor >= len(self._ring):
+            if self._cursor >= len(ring):
                 self._cursor = 0
-            tenant = self._ring[self._cursor]
-            mine = [r for r in pending if self._tenant_key(r) == tenant]
-            if not mine:
+            tenant = ring[self._cursor]
+            mine = buckets.get(tenant)
+            if mine is None:
                 # drained tenant: leave the ring, deficit resets (DRR)
-                self._ring.pop(self._cursor)
-                del self._deficits[tenant]
+                ring.pop(self._cursor)
+                del deficits[tenant]
                 continue
-            candidate = self.inner.take_next(mine, head_pos)
-            if self._deficits[tenant] >= candidate.nbytes:
-                self._deficits[tenant] -= candidate.nbytes
+            # the inner policy removes its pick from the list it is given;
+            # hand it a copy so a tenant revisited this call sees all of
+            # its requests again
+            candidate = self.inner.take_next(list(mine), head_pos)
+            if deficits[tenant] >= candidate.nbytes:
+                deficits[tenant] -= candidate.nbytes
                 pending.remove(candidate)
                 if tenant != _NO_TENANT:
                     self.served_bytes[tenant] = (
                         self.served_bytes.get(tenant, 0) + candidate.nbytes)
                 return candidate
-            self._deficits[tenant] += self.quantum_bytes
+            deficits[tenant] += self.quantum_bytes
             self._cursor += 1
 
 

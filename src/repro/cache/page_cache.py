@@ -46,10 +46,18 @@ The cache scales out along two orthogonal axes (both default-off, and a
 
 * **Tenant working-set limits** (``tenant_limits={tenant: TenantMemoryLimit}``):
   cgroup-style isolation.  Above ``soft_pages`` a tenant becomes the
-  preferred reclaim victim (its oldest page goes before the shard
-  policy's choice); at ``hard_pages`` an insert by that tenant evicts the
-  tenant's own oldest page first, so one streaming tenant can never push
-  another tenant's working set out of memory.
+  preferred reclaim victim (its oldest page in the evicting shard goes
+  before the shard policy's choice); at ``hard_pages`` an insert by that
+  tenant evicts the tenant's own oldest page first.  The cap bounds the
+  tenant's footprint, but it does not fully isolate the other tenants
+  under sharding: the self-eviction may free a slot in a different shard
+  than the one the insert lands in, and a full target shard then evicts
+  by its own policy, possibly another tenant's page.
+
+Each tenant's pages are indexed twice, both in insertion order: as one
+dict (hard caps evict the tenant's globally oldest page) and as one dict
+per shard, so soft-limit reclaim finds the oldest page in the evicting
+shard without scanning the tenant's other shards.
 """
 
 from __future__ import annotations
@@ -91,9 +99,11 @@ class TenantMemoryLimit:
 class _Shard:
     """One cache shard: a policy instance plus its capacity share."""
 
-    __slots__ = ("policy", "capacity", "count", "recent_insertions")
+    __slots__ = ("index", "policy", "capacity", "count", "recent_insertions")
 
-    def __init__(self, policy: ReplacementPolicy, capacity: int) -> None:
+    def __init__(self, index: int, policy: ReplacementPolicy,
+                 capacity: int) -> None:
+        self.index = index
         self.policy = policy
         self.capacity = capacity
         self.count = 0
@@ -173,7 +183,8 @@ class PageCache:
         self.rebalance_every = rebalance_every
         base, extra = divmod(capacity_pages, shards)
         self._shards: list[_Shard] = [
-            _Shard(make_policy(policy) if isinstance(policy, str) else policy,
+            _Shard(i,
+                   make_policy(policy) if isinstance(policy, str) else policy,
                    base + (1 if i < extra else 0))
             for i in range(shards)
         ]
@@ -192,10 +203,14 @@ class PageCache:
             dict(tenant_limits) if tenant_limits else {})
         self._page_tenant: dict[PageKey, str] = {}
         self._tenant_pages: dict[str, dict[PageKey, None]] = {}
-        #: owner of the page most recently evicted (None if untenanted);
-        #: the kernel reads this to attribute evictions per tenant
-        self.last_evicted_owner: str | None = None
+        #: the same pages split by shard index (``inode % nshards``), each
+        #: dict in insertion order — the soft-limit reclaim index
+        self._tenant_shard_pages: dict[str, list[dict[PageKey, None]]] = {}
         self.stats = CacheStats()
+        #: optional eviction counter sink (the kernel's KernelCounters):
+        #: ``note_evictions(count, owner)`` is called for every eviction,
+        #: including hard-cap and rebalance evictions inside one insert
+        self.eviction_sink = None
         #: optional telemetry observer (see repro.obs.telemetry) receiving
         #: on_cache_access / on_cache_insert / on_cache_evict /
         #: on_cache_remove; purely observational, never affects residency
@@ -310,28 +325,43 @@ class PageCache:
         pages = self._tenant_pages.get(tenant)
         if pages is None:
             pages = self._tenant_pages[tenant] = {}
+            self._tenant_shard_pages[tenant] = [
+                {} for _ in range(self._nshards)]
         pages[key] = None
+        self._tenant_shard_pages[tenant][key[0] % self._nshards][key] = None
 
     def _tenant_forget(self, key: PageKey) -> str | None:
-        """Drop tenant bookkeeping for an evicted/invalidated key."""
-        if not self._page_tenant:
-            return None
+        """Drop tenant bookkeeping for an evicted/invalidated key
+        (callers skip it while no page is tenanted)."""
         tenant = self._page_tenant.pop(key, None)
         if tenant is not None:
-            pages = self._tenant_pages.get(tenant)
-            if pages is not None:
-                pages.pop(key, None)
-                if not pages:
-                    del self._tenant_pages[tenant]
+            pages = self._tenant_pages[tenant]
+            del pages[key]
+            if pages:
+                del self._tenant_shard_pages[tenant][
+                    key[0] % self._nshards][key]
+            else:
+                del self._tenant_pages[tenant]
+                del self._tenant_shard_pages[tenant]
         return tenant
 
-    def _note_eviction_owner(self, key: PageKey) -> None:
-        owner = self._tenant_forget(key)
-        self.last_evicted_owner = owner
+    def _drop_victim(self, victim: PageKey, shard: _Shard,
+                     forced: bool = False) -> None:
+        """The bookkeeping every eviction shares, once the victim has
+        left its shard's policy: residency, index, owner, counts."""
+        self._resident.discard(victim)
+        self._index_discard(victim)
+        owner = self._tenant_forget(victim) if self._page_tenant else None
+        shard.count -= 1
+        stats = self.stats
+        stats.evictions += 1
         if owner is not None:
-            stats = self.stats
             stats.tenant_evictions[owner] = (
                 stats.tenant_evictions.get(owner, 0) + 1)
+        if self.eviction_sink is not None:
+            self.eviction_sink.note_evictions(1, owner)
+        if self.observer is not None:
+            self.observer.on_cache_evict(victim, forced=forced)
 
     # -- the read/write path --------------------------------------------------
 
@@ -353,7 +383,9 @@ class PageCache:
         return False
 
     def insert(self, key: PageKey, tenant: str | None = None) -> PageKey | None:
-        """Make ``key`` resident; returns the evicted key, if any.
+        """Make ``key`` resident; returns the key its shard evicted to
+        make room, if any.  A hard-cap or rebalance eviction in the same
+        insert is not returned; every eviction reaches ``eviction_sink``.
 
         Inserting an already-resident key just refreshes its recency.
         Pinned pages are passed over during victim selection (they get a
@@ -446,9 +478,10 @@ class PageCache:
                 evictions += 1
             index.discard_run(run_inode, run_start, run_len)
             generations[run_inode] = generations.get(run_inode, 0) + run_len
-            self.last_evicted_owner = None
             shard.count -= need
             self.stats.evictions += need
+            if self.eviction_sink is not None:
+                self.eviction_sink.note_evictions(need, None)
         self._resident.update((inode_id, page)
                               for page in range(start, start + n))
         self._index.add_run(inode_id, start, n)
@@ -464,65 +497,48 @@ class PageCache:
         if self._tenant_limits:
             victim = self._soft_victim(shard)
             if victim is not None:
-                self._resident.discard(victim)
-                self._index_discard(victim)
-                self._note_eviction_owner(victim)
                 shard.policy.on_remove(victim)
-                shard.count -= 1
-                self.stats.evictions += 1
                 self.stats.tenant_soft_evictions += 1
-                if self.observer is not None:
-                    self.observer.on_cache_evict(victim, forced=False)
+                self._drop_victim(victim, shard)
                 return victim
         for _ in range(shard.count):
             victim = shard.policy.choose_victim()
             if victim not in self._pinned:
-                self._resident.discard(victim)
-                self._index_discard(victim)
-                if self._page_tenant:
-                    self._note_eviction_owner(victim)
-                else:
-                    self.last_evicted_owner = None
-                shard.count -= 1
-                self.stats.evictions += 1
-                if self.observer is not None:
-                    self.observer.on_cache_evict(victim, forced=False)
+                self._drop_victim(victim, shard)
                 return victim
             # pinned: give it a fresh lease and keep looking
             shard.policy.on_refresh(victim)
         # every resident page is pinned: forced eviction, oldest pinned
         victim = shard.policy.choose_victim()
         self._pinned.discard(victim)
-        self._resident.discard(victim)
-        self._index_discard(victim)
-        if self._page_tenant:
-            self._note_eviction_owner(victim)
-        else:
-            self.last_evicted_owner = None
-        shard.count -= 1
-        self.stats.evictions += 1
         self.stats.forced_pinned_evictions += 1
-        if self.observer is not None:
-            self.observer.on_cache_evict(victim, forced=True)
+        self._drop_victim(victim, shard, forced=True)
         return victim
 
     def _soft_victim(self, shard: _Shard) -> PageKey | None:
         """The oldest unpinned page (in this shard) of a tenant over its
-        soft limit — the cgroup-style preferred reclaim victim."""
+        soft limit — the cgroup-style preferred reclaim victim.
+
+        Shard routing is fixed per key, so the first unpinned key of the
+        tenant's per-shard bucket is the first one a scan of all the
+        tenant's pages, filtered by shard, would find."""
+        pinned = self._pinned
         for tenant, limit in self._tenant_limits.items():
             if limit.soft_pages is None:
                 continue
             pages = self._tenant_pages.get(tenant)
             if pages is None or len(pages) <= limit.soft_pages:
                 continue
-            for key in pages:
-                if key not in self._pinned and self._shard_of(key) is shard:
+            for key in self._tenant_shard_pages[tenant][shard.index]:
+                if key not in pinned:
                     return key
         return None
 
     def _enforce_hard_cap(self, tenant: str) -> None:
         """Evict the tenant's own oldest unpinned pages while it sits at
-        or above its hard cap, so the upcoming insert is self-funded."""
+        or above its hard cap, so the upcoming insert keeps it within the
+        cap.  The freed slot may sit in another shard than the insert's;
+        a full target shard then still evicts by its own policy."""
         limit = self._tenant_limits.get(tenant)
         if limit is None or limit.hard_pages is None:
             return
@@ -533,15 +549,9 @@ class PageCache:
             if victim is None:  # every page pinned: cap cannot be enforced
                 return
             shard = self._shard_of(victim)
-            self._resident.discard(victim)
-            self._index_discard(victim)
-            self._note_eviction_owner(victim)
             shard.policy.on_remove(victim)
-            shard.count -= 1
-            self.stats.evictions += 1
             self.stats.tenant_hard_evictions += 1
-            if self.observer is not None:
-                self.observer.on_cache_evict(victim, forced=False)
+            self._drop_victim(victim, shard)
             pages = self._tenant_pages.get(tenant)
 
     # -- the eviction balancer -------------------------------------------
@@ -666,6 +676,7 @@ class PageCache:
         self._pinned.clear()
         self._page_tenant.clear()
         self._tenant_pages.clear()
+        self._tenant_shard_pages.clear()
         for shard in self._shards:
             shard.count = 0
         for inode_id in list(self._index.inodes()):

@@ -135,6 +135,8 @@ class Kernel:
         self.event_loop_kind = event_loop
         self.sleds_table = SledTable()
         self.counters = KernelCounters()
+        # the cache reports every eviction it performs, with its owner
+        self.page_cache.eviction_sink = self.counters
         self.rng = rng or RngStreams()
         self.noise = noise
         self.syscall_overhead = syscall_overhead
@@ -563,11 +565,7 @@ class Kernel:
                     now=clock.now, window=window, fs=fs,
                     components=component_delta(before))
             for extra in range(page, page + cluster):
-                if cache.insert((inode_id, extra), tenant) is not None:
-                    counters.evictions += 1
-                    if tenant is not None:
-                        counters.note_tenant_eviction(
-                            cache.last_evicted_owner)
+                cache.insert((inode_id, extra), tenant)
                 if telemetry is not None and extra != page:
                     telemetry.on_readahead_insert((inode_id, extra))
 
@@ -637,13 +635,10 @@ class Kernel:
                     clock.advance_run(durations.tolist(), category)
                 if profiler is not None:
                     profiler.add("device.batch_math", t_dev)
-                evicted = cache.insert_run(inode_id, file_page, piece_pages)
-                if evicted is None:
-                    evicted = 0
+                if cache.insert_run(inode_id, file_page,
+                                    piece_pages) is None:
                     for extra in range(file_page, file_page + piece_pages):
-                        if cache.insert((inode_id, extra)) is not None:
-                            evicted += 1
-                counters.evictions += evicted
+                        cache.insert((inode_id, extra))
         if profiler is not None:
             profiler.add("kernel.fault_batch", t_batch)
 
@@ -760,11 +755,7 @@ class Kernel:
                     now=self.clock.now, window=window, fs=fs,
                     completion=completion)
             for extra in range(page, page + cluster):
-                if cache.insert((inode_id, extra), tenant) is not None:
-                    counters.evictions += 1
-                    if tenant is not None:
-                        counters.note_tenant_eviction(
-                            cache.last_evicted_owner)
+                cache.insert((inode_id, extra), tenant)
                 if self.telemetry is not None and extra != page:
                     self.telemetry.on_readahead_insert((inode_id, extra))
 
@@ -859,11 +850,7 @@ class Kernel:
                     now=now, window=window, fs=fs,
                     completion=completion)
             for extra in range(page, page + cluster):
-                if cache.insert((inode_id, extra), tenant) is not None:
-                    counters.evictions += 1
-                    if tenant is not None:
-                        counters.note_tenant_eviction(
-                            cache.last_evicted_owner)
+                cache.insert((inode_id, extra), tenant)
                 if telemetry is not None and extra != page:
                     telemetry.on_readahead_insert((inode_id, extra))
         if tele_batch is not None:
@@ -917,9 +904,7 @@ class Kernel:
         self._charge_memory(len(data))
         dirty = self._dirty.setdefault(inode.id, (of.fs, inode, set()))[2]
         for page in page_span(of.pos, len(data)):
-            if self.page_cache.insert((inode.id, page),
-                                      self.current_tenant) is not None:
-                self.counters.evictions += 1
+            self.page_cache.insert((inode.id, page), self.current_tenant)
             dirty.add(page)
         self.counters.bytes_written += len(data)
         of.pos = end
@@ -955,9 +940,7 @@ class Kernel:
         self._charge_memory(len(data))
         dirty = self._dirty.setdefault(inode.id, (of.fs, inode, set()))[2]
         for page in page_span(offset, len(data)):
-            if self.page_cache.insert((inode.id, page),
-                                      self.current_tenant) is not None:
-                self.counters.evictions += 1
+            self.page_cache.insert((inode.id, page), self.current_tenant)
             dirty.add(page)
         self.counters.bytes_written += len(data)
         inode.mtime = self.clock.now

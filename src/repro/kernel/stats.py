@@ -29,6 +29,7 @@ class KernelCounters:
     readahead_pages: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    #: every page the page cache evicted (reported by the cache itself)
     evictions: int = 0
     #: FSLEDS_GET calls that rebuilt the vector (stamp mismatch / first call)
     sleds_builds: int = 0
@@ -54,12 +55,14 @@ class KernelCounters:
         self.tenant_cache_misses[tenant] = (
             self.tenant_cache_misses.get(tenant, 0) + 1)
 
-    def note_tenant_eviction(self, owner: str | None) -> None:
-        """Attribute one eviction to the evicted page's owner (no-op for
-        untenanted victims)."""
+    def note_evictions(self, count: int, owner: str | None) -> None:
+        """Charge ``count`` page-cache evictions of pages owned by
+        ``owner`` (``None``: untenanted pages, counted in ``evictions``
+        only).  The page cache calls this for every eviction it makes."""
+        self.evictions += count
         if owner is not None:
             self.tenant_evictions[owner] = (
-                self.tenant_evictions.get(owner, 0) + 1)
+                self.tenant_evictions.get(owner, 0) + count)
 
     def copy(self) -> "KernelCounters":
         values = vars(self).copy()

@@ -238,14 +238,10 @@ class Prefetcher:
         else:
             completion = future.value
             self.completed_requests += 1
-            kernel = self.kernel
-            cache = kernel.page_cache
+            cache = self.kernel.page_cache
             for key in keys:
                 if not cache.peek(key):
-                    if cache.insert(key, tenant) is not None:
-                        kernel.counters.evictions += 1
-                        kernel.counters.note_tenant_eviction(
-                            cache.last_evicted_owner)
+                    cache.insert(key, tenant)
                     self._prefetched[key] = tenant
             if telemetry is not None:
                 telemetry.on_prefetch_complete(fs, inode.id, page, cluster,

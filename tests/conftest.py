@@ -4,9 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.machine import Machine
 from repro.sim.units import MB
+
+#: a larger example budget for the property tests that set no
+#: ``max_examples`` of their own: ``pytest --hypothesis-profile=oracle``.
+#: It derives from the ``default`` profile, so the examples stay random
+#: (hypothesis's own ``ci`` profile, active when the CI environment
+#: variable is set, derandomizes them).
+settings.register_profile("oracle", parent=settings.get_profile("default"),
+                          max_examples=1000, print_blob=True)
 
 
 @pytest.fixture

@@ -7,6 +7,16 @@ from hypothesis import strategies as st
 from repro.cache.page_cache import PageCache, TenantMemoryLimit
 
 
+class _EvictionLog:
+    """An eviction sink that records each evicted page's owner, in order."""
+
+    def __init__(self):
+        self.owners = []
+
+    def note_evictions(self, count, owner):
+        self.owners.extend([owner] * count)
+
+
 class TestTenantMemoryLimit:
     def test_validates_positive(self):
         with pytest.raises(ValueError):
@@ -128,12 +138,13 @@ class TestTenantLimits:
         for p in range(4):
             cache.insert((1, p), "victim")     # fills the cache
         assert cache.stats.evictions == 0
+        log = cache.eviction_sink = _EvictionLog()
         # next insert must reclaim from the over-soft hog, not LRU order
         cache.insert((2, 0), "victim")
         assert cache.stats.tenant_soft_evictions == 1
         assert cache.stats.tenant_evictions.get("hog") == 1
         assert cache.tenant_resident_count("hog") == 3
-        assert cache.last_evicted_owner == "hog"
+        assert log.owners == ["hog"]
 
     def test_under_soft_tenant_not_preferred(self):
         limits = {"a": TenantMemoryLimit(soft_pages=8)}
@@ -194,15 +205,16 @@ class TestTenantLimits:
         assert len(cache) == 0
 
     def test_untenanted_eviction_clears_owner(self):
-        """last_evicted_owner must not go stale after tenant pages are
-        gone and an untenanted eviction follows."""
+        """An untenanted eviction that follows a tenant's is reported
+        with no owner, not the previous victim's."""
         cache = PageCache(2)
+        log = cache.eviction_sink = _EvictionLog()
         cache.insert((0, 0), "a")
         cache.insert((0, 1))
         cache.insert((0, 2))  # evicts (0,0), owner "a"
-        assert cache.last_evicted_owner == "a"
+        assert log.owners == ["a"]
         cache.insert((0, 3))  # evicts untenanted (0,1)
-        assert cache.last_evicted_owner is None
+        assert log.owners == ["a", None]
 
     @given(hard=st.integers(1, 6), inserts=st.integers(1, 60))
     @settings(max_examples=40, deadline=None)

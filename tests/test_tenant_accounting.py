@@ -12,6 +12,9 @@ different tenants into one dispatch.  These tests assert the fixes:
   wherever the pump happens to run;
 * per-tenant kernel counters (hits/misses/evictions) survive the
   ``ProcessRun`` copy/delta machinery and export through telemetry;
+* every eviction an insert performs (hard-cap self-evictions and
+  rebalances included) reaches the kernel counters with its owner, on
+  the read, write, pwrite and prefetch paths;
 * tenant-labeled SLO families route past-cap tenants into the
   ``_overflow`` series instead of growing without bound.
 """
@@ -19,7 +22,8 @@ different tenants into one dispatch.  These tests assert the fixes:
 import pytest
 
 from repro.block.merge import BlockConfig, FaultRun
-from repro.machine import Machine
+from repro.cache import TenantMemoryLimit
+from repro.machine import Machine, MachineConfig
 from repro.obs import Telemetry
 from repro.obs.lifecycle import LifecycleRecord
 from repro.obs.metrics import MetricsRegistry
@@ -286,6 +290,59 @@ class TestPerTenantCounters:
         text = telemetry.render_prometheus()
         assert 'repro_kernel_counter_tenant{name="tenant_cache_misses"' \
             ',tenant="t0"}' in text
+
+
+class TestEvictionAccounting:
+    def test_every_eviction_reaches_the_kernel_with_its_owner(self):
+        limits = {f"t{i}": TenantMemoryLimit(soft_pages=12, hard_pages=16)
+                  for i in range(3)}
+        machine = Machine.unix_utilities(
+            cache_pages=64, seed=9407,
+            config=MachineConfig(shards=4, tenant_limits=limits,
+                                 fair_elevator=True))
+        machine.boot()
+        for i in range(3):
+            machine.ext2.create_text_file(f"f{i}", 48 * PAGE_SIZE, seed=i)
+        kernel = machine.kernel
+        cache = kernel.page_cache
+        cache.rebalance_every = 32
+        engine = kernel.attach_engine(block=MERGE_ALL)
+        prefetcher = Prefetcher(kernel, engine).attach()
+
+        def client(i):
+            fd = kernel.open(f"/mnt/ext2/f{i}")
+            prefetcher.prefetch_fd(fd, budget_bytes=16 * PAGE_SIZE)
+            for chunk in range(0, 24, 3):
+                yield from kernel.pread_async(
+                    fd, chunk * 2 * PAGE_SIZE, 2 * PAGE_SIZE)
+                yield from kernel.read_async(fd, 2 * PAGE_SIZE)
+            kernel.close(fd)
+            fd = kernel.open(f"/mnt/ext2/log{i}", "w")
+            kernel.write(fd, b"w" * 12 * PAGE_SIZE)
+            kernel.pwrite(fd, 20 * PAGE_SIZE, b"p" * 12 * PAGE_SIZE)
+            kernel.close(fd)
+
+        stats = cache.stats
+        evictions = stats.evictions
+        by_owner = dict(stats.tenant_evictions)
+        with kernel.process() as run:
+            EventScheduler(kernel, [Task(f"c{i}", client(i), tenant=f"t{i}")
+                                    for i in range(3)],
+                           engine=engine).run()
+            # an untenanted blocking reader evicts tenant pages too
+            fd = kernel.open("/mnt/ext2/f0")
+            kernel.read(fd, 48 * PAGE_SIZE)
+            kernel.close(fd)
+        # the run exercised every eviction kind this can lose
+        assert stats.tenant_hard_evictions > 0
+        assert stats.tenant_soft_evictions > 0
+        assert stats.rebalances > 0
+        assert prefetcher.issued_pages > 0
+        assert run.counters.evictions == stats.evictions - evictions > 0
+        assert run.counters.tenant_evictions == {
+            owner: count - by_owner.get(owner, 0)
+            for owner, count in stats.tenant_evictions.items()
+            if count != by_owner.get(owner, 0)}
 
 
 class TestSloTenantFamilies:

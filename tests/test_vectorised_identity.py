@@ -1,10 +1,10 @@
 """Property tests: the vectorised fault path is bit-identical to scalar.
 
 The numpy fast paths (run-batched device math in ``Device.read_run``,
-the kernel's ``_fault_in_batch`` dispatch, the flat-array SLED build in
-``build_sled_vector``, and the deferred telemetry fan-in) promise *exact*
-equality with the scalar reference code, not approximation.  Every test
-here runs the same deterministic workload twice — once with
+the kernel's ``_fault_in_batch`` dispatch, and the deferred telemetry
+fan-in) promise *exact* equality with the scalar reference code, not
+approximation.  Every vectorised-path test here runs the same
+deterministic workload twice — once with
 :func:`repro.devices.batch.set_enabled` forcing the vectorised path,
 once forcing the scalar reference — and asserts the results match bit
 for bit:
@@ -17,10 +17,10 @@ for bit:
 * the per-device batch kernels against a scalar read loop over
   randomized run layouts — durations, running stats, busy horizon,
   component totals, and rng stream alignment;
-* the vectorised SLED build against the scalar fold and the paper's
-  literal full walk, on residency patterns wide enough to actually take
-  the array path (asserted via a spy, so the comparison can't go
-  vacuous);
+* the run-based SLED build (residency runs plus batched span
+  estimates) against the paper's literal per-page walk, with and
+  without queue delays, on multi-page resident runs and on random
+  residency;
 * the telemetry fan-in (``TelemetryBatch``) against immediate per-fault
   ``on_fault`` calls, comparing whole telemetry exports;
 * the no-numpy fallback: with the batch module's numpy knocked out the
@@ -38,7 +38,9 @@ from hypothesis import strategies as st
 
 from repro.block.merge import BlockConfig
 from repro.core import builder
-from repro.core.builder import build_sled_vector, build_sled_vector_full_walk
+from repro.core.builder import (build_sled_vector,
+                                 build_sled_vector_full_walk,
+                                 resolve_estimate)
 from repro.devices import batch
 from repro.devices.cdrom import CdromDevice
 from repro.devices.disk import DiskDevice
@@ -206,9 +208,8 @@ def test_device_batch_math_matches_scalar(seed, runs):
 
 
 def _sled_inputs(profile: str):
-    """A machine whose file has an alternating residency pattern wide
-    enough (32 resident runs) that ``build_sled_vector`` takes the
-    array path."""
+    """A machine whose file has 4-page resident runs every 16 pages, so
+    the SLED build sees multi-page runs on both sides of each gap."""
     machine, path = _setup(profile, seed=7, pages=256, config=MachineConfig())
     kernel = machine.kernel
     fd = kernel.open(path)
@@ -225,23 +226,17 @@ def _sleds(vector):
                  for s in vector)
 
 
-def _build_spied(cache, fs, inode, table, queue_delays):
-    """build_sled_vector, asserting the numpy emit actually ran."""
-    calls = []
-    original = builder._emit_arrays
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    builder._emit_arrays = spy
-    try:
-        vector = build_sled_vector(cache, fs, inode, table,
-                                   queue_delays=queue_delays)
-    finally:
-        builder._emit_arrays = original
-    assert calls, "vector emit path was not taken (test would be vacuous)"
-    return vector
+def _walk_with_queue_delays(cache, fs, inode, table, queue_delays):
+    """The paper's literal per-page walk, each non-resident page's
+    latency raised by its device's queue delay."""
+    memory = table.memory
+    return builder._emit(
+        [(1, (memory.latency, memory.bandwidth)
+          if cache.peek((inode.id, page))
+          else resolve_estimate(table, fs.page_estimate(inode, page),
+                                queue_delays))
+         for page in range(inode.npages)],
+        inode.size)
 
 
 def test_sled_build_vector_path_identical():
@@ -249,28 +244,30 @@ def test_sled_build_vector_path_identical():
         machine, kernel, inode, fs = _sled_inputs(profile)
         cache = kernel.page_cache
         table = kernel.sleds_table
+        assert len(cache.resident_runs(inode.id, inode.npages)) > 1
         keys = {estimate.device_key for _, estimate
                 in fs.span_estimates(inode, 0, inode.npages)}
-        for queue_delays in (None, {key: 0.00173 for key in keys}):
-            vector = _with_batch(True, _build_spied,
-                                 cache, fs, inode, table, queue_delays)
-            scalar = _with_batch(False, build_sled_vector,
-                                 cache, fs, inode, table, queue_delays)
-            assert _sleds(vector) == _sleds(scalar), (
-                f"{profile}: array emit diverged from scalar fold "
-                f"(queue_delays={queue_delays is not None})")
         full = build_sled_vector_full_walk(cache, fs, inode, table)
-        fast = _with_batch(True, build_sled_vector, cache, fs, inode, table)
+        fast = build_sled_vector(cache, fs, inode, table)
         assert _sleds(fast) == _sleds(full), (
-            f"{profile}: vectorised build diverged from the paper's "
+            f"{profile}: run-based build diverged from the paper's "
             f"literal per-page walk")
+        queue_delays = {key: 0.00173 for key in keys}
+        queued = build_sled_vector(cache, fs, inode, table,
+                                   queue_delays=queue_delays)
+        walked = _walk_with_queue_delays(cache, fs, inode, table,
+                                         queue_delays)
+        assert _sleds(queued) == _sleds(walked), (
+            f"{profile}: queue delays diverged from the per-page walk")
+        assert _sleds(queued) != _sleds(fast)
 
 
 @settings(max_examples=10, deadline=None)
 @given(mask=st.lists(st.booleans(), min_size=24, max_size=120))
 def test_sled_build_random_residency_identical(mask):
     """Randomized residency layouts: whatever pattern of resident pages
-    the workload leaves behind, the three builders agree exactly."""
+    the workload leaves behind, the run-based build and the literal
+    per-page walk agree exactly."""
     pages = len(mask)
     machine, path = _setup("ext2", seed=11, pages=pages,
                            config=MachineConfig())
@@ -282,10 +279,9 @@ def test_sled_build_random_residency_identical(mask):
     inode = kernel._fd(fd).inode
     fs = kernel._fd(fd).fs
     cache, table = kernel.page_cache, kernel.sleds_table
-    vector = _with_batch(True, build_sled_vector, cache, fs, inode, table)
-    scalar = _with_batch(False, build_sled_vector, cache, fs, inode, table)
+    vector = build_sled_vector(cache, fs, inode, table)
     full = build_sled_vector_full_walk(cache, fs, inode, table)
-    assert _sleds(vector) == _sleds(scalar) == _sleds(full)
+    assert _sleds(vector) == _sleds(full)
 
 
 def test_telemetry_fanin_identical():
@@ -324,13 +320,12 @@ def test_telemetry_fanin_identical():
 
 def test_scalar_fallback_without_numpy(monkeypatch):
     """With numpy knocked out of the batch layer the library still runs
-    every workload — ``read_run`` declines, the kernel and builder take
-    their scalar reference paths, and results match the vectorised run."""
+    every workload — ``read_run`` declines, the kernel takes its scalar
+    reference path, and results match the vectorised run."""
     vector = _run("ext2", seed=3, pages=24, config=MachineConfig())
 
     with monkeypatch.context() as m:
         m.setattr(batch, "_np", None)
-        m.setattr(builder, "np", None)
         assert not batch.enabled()
         device = DiskDevice(rng=np.random.default_rng(1))
         assert device.read_run(0, 8, PAGE_SIZE) is None
