@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.apps.common import (
     DEFAULT_BUFSIZE,
     SCAN_CPU_PER_BYTE,
@@ -35,14 +37,22 @@ class WcResult:
 
 
 def _scan_chunk(data: bytes) -> tuple[int, int, bool, bool]:
-    """(newlines, words, starts_in_word, ends_in_word) for one chunk."""
-    newlines = data.count(b"\n")
-    words = len(data.split())
-    starts_in_word = bool(data) and data[0:1] not in (
-        b" ", b"\t", b"\n", b"\r", b"\v", b"\f")
-    ends_in_word = bool(data) and data[-1:] not in (
-        b" ", b"\t", b"\n", b"\r", b"\v", b"\f")
-    return newlines, words, starts_in_word, ends_in_word
+    """(newlines, words, starts_in_word, ends_in_word) for one chunk.
+
+    Words are counted as the bytes that begin one (a word byte first in
+    the chunk or right after whitespace), which equals
+    ``len(data.split())`` without building the words: ``bytes.split()``
+    splits on exactly the bytes of :data:`_WHITESPACE`, 9-13 and 32.
+    """
+    if not data:
+        return 0, 0, False, False
+    codes = np.frombuffer(data, dtype=np.uint8)
+    # uint8 wraps, so codes below 9 stay word bytes
+    word = (codes != 32) & (codes - np.uint8(9) > 4)
+    starts_in_word = bool(word[0])
+    words = starts_in_word + int(np.count_nonzero(word[1:] > word[:-1]))
+    newlines = int(np.count_nonzero(codes == 10))
+    return newlines, words, starts_in_word, bool(word[-1])
 
 
 def wc(kernel, path: str, use_sleds: bool = False,

@@ -382,6 +382,22 @@ class PageCache:
             self.observer.on_cache_access(key, hit=False)
         return False
 
+    def hit_run(self, inode_id: int, start: int, n: int) -> None:
+        """:meth:`access` hits on the ``n`` pages ``[start, start+n)`` of
+        one inode, in page order — the caller found them all resident.
+
+        The inode's shard policy sees one ``on_hit`` per page and the
+        observer one ``on_cache_access`` per page, exactly as ``n``
+        :meth:`access` calls would make them."""
+        on_hit = self._shards[inode_id % self._nshards].policy.on_hit
+        observer = self.observer
+        for page in range(start, start + n):
+            key = (inode_id, page)
+            on_hit(key)
+            if observer is not None:
+                observer.on_cache_access(key, hit=True)
+        self.stats.hits += n
+
     def insert(self, key: PageKey, tenant: str | None = None) -> PageKey | None:
         """Make ``key`` resident; returns the key its shard evicted to
         make room, if any.  A hard-cap or rebalance eviction in the same
@@ -430,8 +446,8 @@ class PageCache:
 
     def insert_run(self, inode_id: int, start: int, n: int) -> int | None:
         """Batched :meth:`insert` of the ``n`` pages ``[start, start+n)``
-        of one inode — the kernel's vectorised fault path calls this with
-        a run of pages it has just read, *all guaranteed non-resident*.
+        of one inode — the kernel's fault pipeline calls this with each
+        cluster it has just read, *all guaranteed non-resident*.
 
         Returns the number of evictions performed, or ``None`` (with no
         state touched) when the batch is not provably equivalent to ``n``

@@ -60,6 +60,34 @@ class ReadaheadWindow:
         self._next_expected = page_index + 1
         return self._window
 
+    def advise_run(self, start: int, npages: int) -> int:
+        """:meth:`advise` for each page of ``[start, start + npages)`` in
+        order, in O(log ``max_pages``); returns the last page's window.
+
+        Only the first page can be non-sequential.  Every later page is
+        the expected one, and each such step doubles the window (counting
+        a grow) until it reaches ``max_pages``.
+        """
+        if start < 0:
+            raise ValueError(f"negative page index: {start}")
+        window = self._window
+        steps = npages - 1
+        if self._next_expected is not None:
+            if start == self._next_expected:
+                steps = npages
+            else:
+                if window > self.min_pages:
+                    self.collapses += 1
+                window = self.min_pages
+        max_pages = self.max_pages
+        while steps > 0 and window < max_pages:
+            window = min(max_pages, window * 2)
+            self.grows += 1
+            steps -= 1
+        self._window = window
+        self._next_expected = start + npages
+        return window
+
     def reset(self) -> None:
         """Collapse the window (e.g. after an lseek)."""
         self._window = self.min_pages

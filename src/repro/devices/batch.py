@@ -1,6 +1,6 @@
 """Vectorised kernels for the batched device-math fast path.
 
-The kernel's fault fast path (:meth:`Kernel._fault_in`) wants to charge a
+The kernel's fault pipeline (:meth:`Kernel._fault_in`) wants to charge a
 *run* of sequential page faults without running O(pages) Python: the
 per-device batch kernels (``Device._batch_page_math``) compute whole-run
 duration and component arrays in one numpy pass, and the helpers here fold
@@ -20,9 +20,9 @@ The module is also the kill switch.  The fast path is off when
   than ``0`` or the empty string (read once at import), or
 * a test called :func:`set_enabled` with ``False``.
 
-Every caller falls back to the scalar reference path when
-:func:`enabled` is false, so flipping the switch must never change a
-virtual-time result — only host speed.
+``Device.read_run`` declines while :func:`enabled` is false and every
+caller then reads page by page, so flipping the switch must never change
+a virtual-time result — only host speed.
 """
 
 from __future__ import annotations

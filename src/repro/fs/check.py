@@ -9,7 +9,7 @@ can assert the structural invariants hold:
 * every file's extent map covers exactly its pages, in order, gap-free;
 * no two files' extents overlap on the device;
 * every extent lies within the device;
-* HSM staging state only references resident files.
+* HSM staging state only references pages of reachable files.
 
 :func:`check_filesystem` returns a list of human-readable problem
 strings (empty = clean), so callers can assert ``== []`` and get a useful
@@ -87,12 +87,17 @@ def check_filesystem(fs: FileSystem) -> list[str]:
                 f"{path_b} [{start_b}, {end_b})")
 
     if isinstance(fs, HsmFs):
-        file_ids = {inode.id for _, inode in files}
+        file_pages = {inode.id: (path, inode.npages) for path, inode in files}
         for inode_id, page in list(fs._staged):
-            if inode_id not in file_ids:
+            if inode_id not in file_pages:
                 problems.append(
                     f"HSM stage references unreachable inode #{inode_id} "
                     f"page {page}")
+            elif page >= file_pages[inode_id][1]:
+                path, npages = file_pages[inode_id]
+                problems.append(
+                    f"{path}: HSM stage holds page {page} of a "
+                    f"{npages}-page file")
         for path, inode in files:
             try:
                 fs.state_of(inode)

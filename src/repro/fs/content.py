@@ -16,7 +16,10 @@ Three kinds cover every workload in the paper:
 
 from __future__ import annotations
 
+import bisect
 from abc import ABC, abstractmethod
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import numpy as np
 
@@ -97,29 +100,39 @@ class SyntheticText(FileContent):
     """Deterministic pseudo-text with optional planted strings.
 
     ``plants`` maps byte offset → planted bytes; planted regions override
-    the corpus text.  The same (seed, offset) always yields the same bytes,
-    so repeated reads are consistent without storing the file.
+    the corpus text, overlapping plants applied in ``plants`` order.  The
+    same (seed, offset) always yields the same bytes, so repeated reads
+    are consistent without storing the file.  Assigning ``plants`` again
+    replaces them (the grep experiments move their needle between runs).
     """
 
     def __init__(self, seed: int, size: int,
-                 plants: dict[int, bytes] | None = None) -> None:
+                 plants: Mapping[int, bytes] | None = None) -> None:
         if size < 0:
             raise InvalidArgumentError(f"negative file size: {size}")
         self.seed = seed
         self.size = size
-        self.plants = dict(plants or {})
-        for offset, blob in self.plants.items():
-            if offset < 0 or offset + len(blob) > size:
+        self.plants = plants or {}
+
+    @property
+    def plants(self) -> Mapping[int, bytes]:
+        """Read-only view: assign a new dict to change the plants."""
+        return MappingProxyType(self._plants)
+
+    @plants.setter
+    def plants(self, plants: Mapping[int, bytes]) -> None:
+        for offset, blob in plants.items():
+            if offset < 0 or offset + len(blob) > self.size:
                 raise InvalidArgumentError(
                     f"planted string at {offset} (+{len(blob)}) "
-                    f"escapes file of size {size}")
-
-    def _page(self, page_index: int) -> bytes:
-        corpus = _corpus()
-        # a cheap multiplicative hash spreads pages across the corpus
-        start = ((self.seed * 2654435761 + page_index * 40503)
-                 % (len(corpus) - PAGE_SIZE))
-        return corpus[start:start + PAGE_SIZE]
+                    f"escapes file of size {self.size}")
+        self._plants = dict(plants)
+        #: (offset, plants order, bytes) sorted by offset, for bisecting
+        self._by_offset = sorted(
+            (offset, order, blob)
+            for order, (offset, blob) in enumerate(self._plants.items()))
+        self._offsets = [offset for offset, _, _ in self._by_offset]
+        self._longest = max(map(len, self._plants.values()), default=0)
 
     def read(self, offset: int, nbytes: int) -> bytes:
         self._check(offset, nbytes)
@@ -128,16 +141,27 @@ class SyntheticText(FileContent):
             return b""
         first = offset // PAGE_SIZE
         last = (offset + nbytes - 1) // PAGE_SIZE
-        chunks = [self._page(p) for p in range(first, last + 1)]
-        blob = b"".join(chunks)
         skip = offset - first * PAGE_SIZE
-        out = bytearray(blob[skip:skip + nbytes])
-        # splice planted strings overlapping [offset, offset+nbytes)
-        for pofs, pdata in self.plants.items():
+        corpus = memoryview(_corpus())  # slices of a view copy nothing
+        # a cheap multiplicative hash spreads pages across the corpus
+        base = self.seed * 2654435761
+        span = len(corpus) - PAGE_SIZE
+        data = b"".join([corpus[start:start + PAGE_SIZE] for start in (
+            (base + page * 40503) % span for page in range(first, last + 1))])
+        data = data[skip:skip + nbytes]
+        end = offset + nbytes
+        # plants overlapping [offset, end) start in (offset - longest, end)
+        lo = bisect.bisect_right(self._offsets, offset - self._longest)
+        hi = bisect.bisect_left(self._offsets, end, lo)
+        overlapping = [(order, pofs, pdata) for pofs, order, pdata
+                       in self._by_offset[lo:hi] if pofs + len(pdata) > offset]
+        if not overlapping:
+            return data
+        out = bytearray(data)
+        for _, pofs, pdata in sorted(overlapping):
             lo = max(offset, pofs)
-            hi = min(offset + nbytes, pofs + len(pdata))
-            if lo < hi:
-                out[lo - offset:hi - offset] = pdata[lo - pofs:hi - pofs]
+            hi = min(end, pofs + len(pdata))
+            out[lo - offset:hi - offset] = pdata[lo - pofs:hi - pofs]
         return bytes(out)
 
 

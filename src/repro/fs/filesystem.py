@@ -28,6 +28,7 @@ from repro.devices.disk import DiskDevice
 from repro.fs.content import FileContent, SyntheticText, ZeroContent
 from repro.fs.inode import (
     Allocator,
+    Extent,
     Inode,
     InodeKind,
     make_directory,
@@ -180,13 +181,22 @@ class FileSystem(ABC):
         if extra_pages > 0:
             page = inode.extent_map.npages
             for device_addr, npages in self._allocator().allocate(extra_pages):
-                from repro.fs.inode import Extent
                 inode.extent_map.append(Extent(page, npages, device_addr))
                 page += npages
         if new_size != inode.size:
             # even a sub-page growth changes the final SLED's length
             self.bump_epoch()
         inode.size = new_size
+
+    def truncate_file(self, inode: Inode) -> None:
+        """Cut a file to zero length, handing its extents back to the
+        allocator (used by the kernel's ``open(..., "w")``)."""
+        allocator = self._allocator()
+        for extent in inode.extent_map.extents:
+            allocator.free(extent.device_addr, extent.npages)
+        inode.extent_map.extents.clear()
+        inode.size = 0
+        self.bump_epoch()  # the file's extent coverage changed
 
     def page_estimate(self, inode: Inode, page_index: int) -> PageEstimate:
         """Storage level of one non-resident page.  Default: the device."""
@@ -256,14 +266,8 @@ class FileSystem(ABC):
         if npages <= 0:
             return 0.0
         seconds = 0.0
-        page = start_page
-        remaining = npages
-        while remaining > 0:
-            run = inode.extent_map.contiguous_run(page, remaining)
-            addr = inode.extent_map.addr_of(page)
+        for addr, run in inode.extent_map.device_runs(start_page, npages):
             seconds += self.device.read(addr, run * PAGE_SIZE)
-            page += run
-            remaining -= run
         return seconds
 
     def read_pages_merged(self, inode: Inode, start_page: int,
@@ -281,30 +285,17 @@ class FileSystem(ABC):
         """
         if npages <= 0:
             return 0.0
-        spans: list[tuple[int, int]] = []
-        page = start_page
-        remaining = npages
-        while remaining > 0:
-            run = inode.extent_map.contiguous_run(page, remaining)
-            addr = inode.extent_map.addr_of(page)
-            spans.append((addr, run * PAGE_SIZE))
-            page += run
-            remaining -= run
-        return self.device.read_spans(spans)
+        return self.device.read_spans(
+            [(addr, run * PAGE_SIZE) for addr, run
+             in inode.extent_map.device_runs(start_page, npages)])
 
     def write_pages(self, inode: Inode, start_page: int, npages: int) -> float:
         """Write pages back to the device; returns virtual seconds."""
         if npages <= 0:
             return 0.0
         seconds = 0.0
-        page = start_page
-        remaining = npages
-        while remaining > 0:
-            run = inode.extent_map.contiguous_run(page, remaining)
-            addr = inode.extent_map.addr_of(page)
+        for addr, run in inode.extent_map.device_runs(start_page, npages):
             seconds += self.device.write(addr, run * PAGE_SIZE)
-            page += run
-            remaining -= run
         return seconds
 
     def stat_cost(self) -> float:

@@ -267,6 +267,12 @@ class HsmFs(FileSystem):
             self._stage_in(inode, idx)
         return seconds
 
+    def truncate_file(self, inode: Inode) -> None:
+        """Truncation also drops the file's staged pages: their disk
+        addresses go back to the allocator with the extents."""
+        self.evict_staged(inode)
+        super().truncate_file(inode)
+
     def write_pages(self, inode: Inode, start_page: int, npages: int) -> float:
         """Writes land in the disk stage; migration to tape is explicit
         (see :mod:`repro.hsm.migration`)."""

@@ -12,6 +12,7 @@ residency yields the SLED vector.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -74,20 +75,26 @@ class ExtentMap:
     def npages(self) -> int:
         return self.extents[-1].end_page if self.extents else 0
 
-    def addr_of(self, page_index: int) -> int:
-        """Device byte address of a file page (binary search)."""
-        lo, hi = 0, len(self.extents) - 1
+    def _index_of(self, page_index: int) -> int:
+        """Index of the extent holding a file page (binary search)."""
+        extents = self.extents
+        lo, hi = 0, len(extents) - 1
         while lo <= hi:
             mid = (lo + hi) // 2
-            extent = self.extents[mid]
+            extent = extents[mid]
             if page_index < extent.file_page:
                 hi = mid - 1
             elif page_index >= extent.end_page:
                 lo = mid + 1
             else:
-                return extent.addr_of(page_index)
+                return mid
         raise InvalidArgumentError(
             f"page {page_index} not mapped (file has {self.npages} pages)")
+
+    def addr_of(self, page_index: int) -> int:
+        """Device byte address of a file page (binary search)."""
+        extent = self.extents[self._index_of(page_index)]
+        return extent.device_addr + (page_index - extent.file_page) * PAGE_SIZE
 
     def extents_in(self, start_page: int, npages: int):
         """Yield ``(file_page, npages, device_addr)`` pieces covering
@@ -98,53 +105,66 @@ class ExtentMap:
         runs instead of asking one page at a time.  O(log extents) to find
         the first piece, O(1) per piece after that.
         """
-        end = start_page + npages
         if npages <= 0:
             return
-        # binary search for the extent containing start_page
-        lo, hi = 0, len(self.extents) - 1
-        first = None
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            extent = self.extents[mid]
-            if start_page < extent.file_page:
-                hi = mid - 1
-            elif start_page >= extent.end_page:
-                lo = mid + 1
-            else:
-                first = mid
-                break
-        if first is None:
-            raise InvalidArgumentError(
-                f"page {start_page} not mapped (file has {self.npages} pages)")
-        for extent in self.extents[first:]:
+        end = start_page + npages
+        extents = self.extents
+        for i in range(self._index_of(start_page), len(extents)):
+            extent = extents[i]
             if extent.file_page >= end:
                 break
             piece_start = max(start_page, extent.file_page)
-            piece_end = min(end, extent.end_page)
-            yield (piece_start, piece_end - piece_start,
-                   extent.addr_of(piece_start))
+            yield (piece_start, min(end, extent.end_page) - piece_start,
+                   extent.device_addr
+                   + (piece_start - extent.file_page) * PAGE_SIZE)
+
+    def device_runs(self, start_page: int,
+                    npages: int) -> list[tuple[int, int]]:
+        """``(device_addr, npages)`` for the device-contiguous runs
+        covering ``[start_page, start_page + npages)``, in order: the
+        pieces of :meth:`extents_in`, with neighbours that continue each
+        other on the device joined.  These are the filesystem's device
+        requests for the span.  One search, then a walk by index."""
+        end = start_page + npages
+        if end > self.npages:
+            raise InvalidArgumentError(
+                f"page {max(start_page, self.npages)} not mapped "
+                f"(file has {self.npages} pages)")
+        if npages <= 0:
+            return []
+        extents = self.extents
+        i = self._index_of(start_page)
+        extent = extents[i]
+        addr = extent.device_addr + (start_page - extent.file_page) * PAGE_SIZE
+        pages = min(end, extent.end_page) - start_page
+        runs = []
+        while extent.end_page < end:
+            i += 1
+            extent = extents[i]
+            take = min(end, extent.end_page) - extent.file_page
+            if extent.device_addr == addr + pages * PAGE_SIZE:
+                pages += take
+            else:
+                runs.append((addr, pages))
+                addr, pages = extent.device_addr, take
+        runs.append((addr, pages))
+        return runs
 
     def contiguous_run(self, page_index: int, max_pages: int) -> int:
         """Pages starting at ``page_index`` that are device-contiguous,
-        capped at ``max_pages``.  Used to batch device I/O per extent."""
+        capped at ``max_pages``."""
         if max_pages <= 0:
             return 0
-        run = 1
-        addr = self.addr_of(page_index)
-        while run < max_pages:
-            nxt = page_index + run
-            if nxt >= self.npages:
-                break
-            if self.addr_of(nxt) != addr + run * PAGE_SIZE:
-                break
-            run += 1
-        return run
+        return self.device_runs(
+            page_index, max(1, min(max_pages, self.npages - page_index)))[0][1]
 
 
 class Allocator:
-    """Bump allocator with optional fragmentation for a device's space.
+    """Bump allocator with reuse and optional fragmentation for a
+    device's space.
 
+    Freed ranges are kept sorted and coalesced and are reused first,
+    lowest address first; only then does the cursor move.
     ``max_extent_pages`` caps extent length; a fragmented filesystem uses a
     small cap plus an inter-extent gap so consecutive file pages land on
     discontiguous device addresses (aged-filesystem emulation for the seek
@@ -163,6 +183,8 @@ class Allocator:
         self.cursor = start
         self.max_extent_pages = max_extent_pages
         self.gap_pages = gap_pages
+        #: freed ``(start, end)`` byte ranges, sorted, none adjacent
+        self.free_ranges: list[tuple[int, int]] = []
 
     def allocate(self, npages: int) -> list[tuple[int, int]]:
         """Allocate ``npages``; returns ``[(device_addr, npages), ...]``."""
@@ -170,6 +192,18 @@ class Allocator:
             raise InvalidArgumentError(f"negative allocation: {npages}")
         pieces: list[tuple[int, int]] = []
         remaining = npages
+        free = self.free_ranges
+        while remaining > 0 and free:
+            start, end = free[0]
+            take = min(remaining, (end - start) // PAGE_SIZE,
+                       self.max_extent_pages)
+            pieces.append((start, take))
+            start += take * PAGE_SIZE
+            if start == end:
+                del free[0]
+            else:
+                free[0] = (start, end)
+            remaining -= take
         while remaining > 0:
             take = min(remaining, self.max_extent_pages)
             nbytes = take * PAGE_SIZE
@@ -181,6 +215,18 @@ class Allocator:
             self.cursor += nbytes + self.gap_pages * PAGE_SIZE
             remaining -= take
         return pieces
+
+    def free(self, addr: int, npages: int) -> None:
+        """Hand ``npages`` at ``addr`` back for reuse."""
+        start, end = addr, addr + npages * PAGE_SIZE
+        free = self.free_ranges
+        i = bisect.bisect(free, (start, end))
+        if i < len(free) and free[i][0] == end:
+            end = free.pop(i)[1]
+        if i > 0 and free[i - 1][1] == start:
+            i -= 1
+            start = free.pop(i)[0]
+        free.insert(i, (start, end))
 
 
 @dataclass

@@ -388,8 +388,7 @@ class Kernel:
         self.page_cache.invalidate_inode(inode.id)
         self._dirty.pop(inode.id, None)
         self._sled_cache.pop(inode.id, None)
-        inode.size = 0
-        fs.bump_epoch()  # the file's extent coverage changed
+        fs.truncate_file(inode)
         if not isinstance(inode.content, ByteStoreContent):
             inode.content = ByteStoreContent()
 
@@ -497,25 +496,73 @@ class Kernel:
 
     def _fault_in(self, of: OpenFile, offset: int, length: int,
                   use_readahead: bool = True) -> None:
-        # Vectorised fast path: a readahead-free span (pread) with no
-        # observation hooks, no noise, and the stock extent-run read path
-        # can charge whole miss runs with O(runs) numpy work instead of
-        # O(pages) Python (see docs/performance.md).  Every condition
-        # below names a feature whose per-page side effects the batch
-        # does not reproduce; any of them sends the span down the scalar
-        # reference loop, which remains bit-identical.
-        if (not use_readahead and self.telemetry is None
-                and self.tracer is None and self.prefetcher is None
-                and self.current_tenant is None and self.noise <= 0.0
-                and self.page_cache.observer is None
-                and device_batch.enabled()
-                and type(of.fs).read_pages is FileSystem.read_pages):
-            self._fault_in_batch(of, offset, length)
-            return
-        from repro.obs.lifecycle import component_delta, snapshot_components
+        """Make ``[offset, offset + length)`` resident for a blocking read:
+        the one run-granular fault pipeline.  *Plan* by runs: a resident
+        run is charged in one step (:meth:`PageCache.hit_run`,
+        :meth:`ReadaheadWindow.advise_run`); a miss opens a cluster
+        (:meth:`_fault_cluster`).  *Service* by cluster: one
+        ``fs.read_pages`` call through the noise model or, for runs of
+        one-page clusters no per-fault hook watches, ``Device.read_run`` +
+        ``advance_run`` (:meth:`_fault_run`).  *Complete* by cluster:
+        ``insert_run``, or per-page inserts where the cache declines.
 
-        # hot loop: hoist every per-iteration attribute load — at millions
-        # of faults per run these lookups dominate the instrumented profile
+        Virtual outcomes, every hook's calls and the counters each call
+        sees equal the per-page loop's in ``tests/oracles/kernel.py``.
+        """
+        inode_id = of.inode.id
+        cache = self.page_cache
+        counters = self.counters
+        telemetry = self.telemetry
+        prefetcher = self.prefetcher
+        tenant = self.current_tenant
+        readahead = of.readahead if use_readahead else None
+        resident = cache._resident
+        profiler = self.profiler
+        t_span = profiler.begin() if profiler is not None else 0.0
+        # the only dispatch left: whether a run of one-page clusters may
+        # be serviced as a batch, which no per-fault hook may watch
+        batch = ((readahead is None or readahead.max_pages == 1)
+                 and self.noise <= 0.0 and telemetry is None
+                 and self.tracer is None and cache.observer is None
+                 and type(of.fs).read_pages is FileSystem.read_pages)
+        page = offset // PAGE_SIZE
+        end = (offset + length - 1) // PAGE_SIZE + 1
+        while page < end:
+            stop = page + 1
+            if (inode_id, page) in resident:
+                while stop < end and (inode_id, stop) in resident:
+                    stop += 1
+                n = stop - page
+                if readahead is not None:
+                    readahead.advise_run(page, n)
+                cache.hit_run(inode_id, page, n)
+                counters.cache_hits += n
+                if tenant is not None:
+                    counters.note_tenant_hit(tenant, n)
+                if prefetcher is not None or telemetry is not None:
+                    for hit in range(page, stop):
+                        if prefetcher is not None:
+                            prefetcher.note_access((inode_id, hit))
+                        if telemetry is not None:
+                            telemetry.on_hit(inode_id, hit)
+            elif batch:
+                while stop < end and (inode_id, stop) not in resident:
+                    stop += 1
+                if readahead is not None:
+                    readahead.advise_run(page, stop - page)
+                self._fault_run(of, page, stop - page)
+            else:
+                self._fault_cluster(
+                    of, page,
+                    readahead.advise(page) if readahead is not None else 1)
+            page = stop
+        if profiler is not None:
+            profiler.add("kernel.fault_batch", t_span)
+
+    def _fault_cluster(self, of: OpenFile, page: int, window: int) -> None:
+        """Fault at non-resident ``page``: read a cluster of up to
+        ``window`` pages, ending at the first resident one, with one
+        ``fs.read_pages`` call, and insert it."""
         inode = of.inode
         inode_id = inode.id
         fs = of.fs
@@ -523,124 +570,78 @@ class Kernel:
         counters = self.counters
         clock = self.clock
         telemetry = self.telemetry
-        tracer = self.tracer
-        prefetcher = self.prefetcher
-        readahead = of.readahead
-        npages = inode.npages
-        category = fs.device.time_category
         tenant = self.current_tenant
-        for page in page_span(offset, length):
-            window = readahead.advise(page) if use_readahead else 1
-            key = (inode_id, page)
-            if cache.access(key):
-                counters.cache_hits += 1
-                if tenant is not None:
-                    counters.note_tenant_hit(tenant)
-                if prefetcher is not None:
-                    prefetcher.note_access(key)
-                if telemetry is not None:
-                    telemetry.on_hit(inode_id, page)
-                continue
-            counters.cache_misses += 1
-            counters.hard_faults += 1
-            if tenant is not None:
-                counters.note_tenant_miss(tenant)
-            cluster = 1
-            limit = min(window, npages - page)
-            while (cluster < limit
-                   and not cache.peek((inode_id, page + cluster))):
-                cluster += 1
-            if telemetry is not None:
-                before = snapshot_components(fs)
-            seconds = self._noisy(fs.read_pages(inode, page, cluster))
-            clock.advance(seconds, category)
-            counters.pages_read += cluster
-            counters.readahead_pages += cluster - 1
-            if tracer is not None:
-                tracer.emit(clock.now, "fault", category, seconds,
-                            page=page, cluster=cluster, inode=inode_id)
-            if telemetry is not None:
-                telemetry.on_fault(
-                    fs.device, inode_id, page, cluster, seconds,
-                    now=clock.now, window=window, fs=fs,
-                    components=component_delta(before))
-            for extra in range(page, page + cluster):
-                cache.insert((inode_id, extra), tenant)
-                if telemetry is not None and extra != page:
-                    telemetry.on_readahead_insert((inode_id, extra))
+        cache.access((inode_id, page))
+        counters.cache_misses += 1
+        counters.hard_faults += 1
+        if tenant is not None:
+            counters.note_tenant_miss(tenant)
+        resident = cache._resident
+        cluster = 1
+        limit = min(window, inode.npages - page)
+        while cluster < limit and (inode_id, page + cluster) not in resident:
+            cluster += 1
+        if telemetry is not None:
+            from repro.obs.lifecycle import (component_delta,
+                                             snapshot_components)
+            before = snapshot_components(fs)
+        seconds = self._noisy(fs.read_pages(inode, page, cluster))
+        category = fs.device.time_category
+        clock.advance(seconds, category)
+        counters.pages_read += cluster
+        counters.readahead_pages += cluster - 1
+        if self.tracer is not None:
+            self.tracer.emit(clock.now, "fault", category, seconds,
+                             page=page, cluster=cluster, inode=inode_id)
+        if telemetry is not None:
+            telemetry.on_fault(
+                fs.device, inode_id, page, cluster, seconds,
+                now=clock.now, window=window, fs=fs,
+                components=component_delta(before))
+        self._insert_cluster(inode_id, page, cluster, tenant)
 
-    def _fault_in_batch(self, of: OpenFile, offset: int, length: int) -> None:
-        """Charge a readahead-free span with run-granular batch work.
-
-        Equivalent to the scalar ``_fault_in`` loop with ``window == 1``
-        and no observers attached.  Pages are still processed strictly in
-        page order; only the *mechanism* changes:
-
-        * hits go through the real :meth:`PageCache.access` (one per
-          page — recency moves must land in scalar order), with residency
-          tested at process time so this span's own evictions are seen;
-        * maximal miss runs are split into device-contiguous extent
-          pieces, each charged via :meth:`DeviceModel.read_run` (whole-run
-          numpy math, left-fold accumulation), advanced on the clock with
-          :meth:`VirtualClock.advance_run`, and inserted with
-          :meth:`PageCache.insert_run`.
-
-        Every batched step falls back to the scalar equivalent *for that
-        piece* when a precondition fails (device declines, non-LRU
-        policy, run larger than the cache), so the path never needs to
-        undo partial work.
-        """
+    def _fault_run(self, of: OpenFile, start: int, n: int) -> None:
+        """Fault ``n`` consecutive non-resident pages from ``start`` as
+        one-page clusters, batched: per device-contiguous piece, one
+        ``Device.read_run``, one ``advance_run`` and one insert.  A piece
+        the device declines to batch is faulted page by page."""
         inode = of.inode
-        inode_id = inode.id
-        fs = of.fs
-        device = fs.device
+        device = of.fs.device
         cache = self.page_cache
         counters = self.counters
-        clock = self.clock
-        category = device.time_category
-        extent_map = inode.extent_map
-        resident = cache._resident
-        cache_stats = cache.stats
+        tenant = self.current_tenant
         profiler = self.profiler
-        t_batch = profiler.begin() if profiler is not None else 0.0
-        page = offset // PAGE_SIZE
-        end_page = (offset + length - 1) // PAGE_SIZE + 1
-        while page < end_page:
-            if (inode_id, page) in resident:
-                cache.access((inode_id, page))
-                counters.cache_hits += 1
-                page += 1
+        for file_page, pages, addr in inode.extent_map.extents_in(start, n):
+            t_dev = profiler.begin() if profiler is not None else 0.0
+            durations = device.read_run(addr, pages, PAGE_SIZE)
+            if profiler is not None:
+                profiler.add("device.batch_math", t_dev)
+            if durations is None:
+                for page in range(file_page, file_page + pages):
+                    self._fault_cluster(of, page, 1)
                 continue
-            run_start = page
-            page += 1
-            while page < end_page and (inode_id, page) not in resident:
-                page += 1
-            n = page - run_start
-            counters.cache_misses += n
-            counters.hard_faults += n
-            counters.pages_read += n
-            cache_stats.misses += n
-            for file_page, piece_pages, piece_addr in extent_map.extents_in(
-                    run_start, n):
-                t_dev = profiler.begin() if profiler is not None else 0.0
-                durations = device.read_run(
-                    piece_addr, piece_pages, PAGE_SIZE)
-                if durations is None:
-                    for i in range(piece_pages):
-                        clock.advance(
-                            device.read(piece_addr + i * PAGE_SIZE,
-                                        PAGE_SIZE),
-                            category)
-                else:
-                    clock.advance_run(durations.tolist(), category)
-                if profiler is not None:
-                    profiler.add("device.batch_math", t_dev)
-                if cache.insert_run(inode_id, file_page,
-                                    piece_pages) is None:
-                    for extra in range(file_page, file_page + piece_pages):
-                        cache.insert((inode_id, extra))
-        if profiler is not None:
-            profiler.add("kernel.fault_batch", t_batch)
+            self.clock.advance_run(durations.tolist(), device.time_category)
+            cache.stats.misses += pages
+            counters.cache_misses += pages
+            counters.hard_faults += pages
+            counters.pages_read += pages
+            if tenant is not None:
+                counters.note_tenant_miss(tenant, pages)
+            self._insert_cluster(inode.id, file_page, pages, tenant)
+
+    def _insert_cluster(self, inode_id: int, page: int, n: int,
+                        tenant: str | None) -> None:
+        """Make a just-read cluster resident; pages after its first are
+        readahead to telemetry."""
+        cache = self.page_cache
+        telemetry = self.telemetry
+        if (tenant is None and telemetry is None
+                and cache.insert_run(inode_id, page, n) is not None):
+            return
+        for extra in range(page, page + n):
+            cache.insert((inode_id, extra), tenant)
+            if telemetry is not None and extra != page:
+                telemetry.on_readahead_insert((inode_id, extra))
 
     # -- the event-driven read path ------------------------------------
 
@@ -1026,16 +1027,11 @@ class Kernel:
         total_pages = 0
         for inode, pages in dirty_files:
             for start, run in _contiguous_runs(sorted(pages)):
-                page = start
-                remaining = run
-                while remaining > 0:
-                    extent_run = inode.extent_map.contiguous_run(
-                        page, remaining)
-                    requests.append(IoRequest(
-                        addr=inode.extent_map.addr_of(page),
-                        nbytes=extent_run * PAGE_SIZE, is_write=True))
-                    page += extent_run
-                    remaining -= extent_run
+                requests.extend(
+                    IoRequest(addr=addr, nbytes=npages * PAGE_SIZE,
+                              is_write=True)
+                    for addr, npages in inode.extent_map.device_runs(
+                        start, run))
                 total_pages += run
         return requests, total_pages
 

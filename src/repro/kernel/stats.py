@@ -47,13 +47,13 @@ class KernelCounters:
     _DICT_FIELDS = ("tenant_cache_hits", "tenant_cache_misses",
                     "tenant_evictions")
 
-    def note_tenant_hit(self, tenant: str) -> None:
+    def note_tenant_hit(self, tenant: str, count: int = 1) -> None:
         self.tenant_cache_hits[tenant] = (
-            self.tenant_cache_hits.get(tenant, 0) + 1)
+            self.tenant_cache_hits.get(tenant, 0) + count)
 
-    def note_tenant_miss(self, tenant: str) -> None:
+    def note_tenant_miss(self, tenant: str, count: int = 1) -> None:
         self.tenant_cache_misses[tenant] = (
-            self.tenant_cache_misses.get(tenant, 0) + 1)
+            self.tenant_cache_misses.get(tenant, 0) + count)
 
     def note_evictions(self, count: int, owner: str | None) -> None:
         """Charge ``count`` page-cache evictions of pages owned by

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.wc import wc
+from repro.apps.wc import _WHITESPACE, _scan_chunk, wc
 from repro.machine import Machine
 from repro.sim.units import PAGE_SIZE
 
@@ -100,3 +100,23 @@ class TestPerformance:
         with k.process() as sleds:
             wc(k, "/mnt/ext2/f", use_sleds=True)
         assert sleds.counters.pages_read == plain.counters.pages_read
+
+
+class TestScanChunk:
+    """The split-free word count equals ``len(data.split())``."""
+
+    @given(st.binary(max_size=512))
+    def test_matches_split_on_any_bytes(self, data):
+        newlines, words, starts, ends = _scan_chunk(data)
+        assert newlines == data.count(b"\n")
+        assert words == len(data.split())
+        assert starts == (bool(data) and data[0] not in _WHITESPACE)
+        assert ends == (bool(data) and data[-1] not in _WHITESPACE)
+
+    def test_every_byte_value(self):
+        for value in range(256):
+            byte = bytes([value])
+            for data in (byte, b"a" + byte + b"a", byte * 3 + b"b" + byte):
+                assert _scan_chunk(data)[1] == len(data.split()), value
+        assert {value for value in range(256)
+                if not bytes([value]).split()} == set(_WHITESPACE)

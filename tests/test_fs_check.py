@@ -53,6 +53,54 @@ class TestCleanFilesystems:
         assert check_filesystem(machine.hsmfs) == []
 
 
+class TestTruncation:
+    """``open(path, "w")`` on a non-empty file hands its extents back."""
+
+    def _rewrite(self, machine, path, rounds, nbytes=3 * PAGE_SIZE):
+        k = machine.kernel
+        for _ in range(rounds):
+            fd = k.open(path, "w")
+            k.write(fd, b"x" * nbytes)
+            k.close(fd)
+        return machine.kernel.resolve(path)[1]
+
+    def test_rewrite_cycles_stay_clean_and_bounded(self):
+        machine = Machine.unix_utilities(cache_pages=64, seed=1403)
+        machine.boot()
+        inode = self._rewrite(machine, "/mnt/ext2/log", 3)
+        assert all(problems == [] for problems in
+                   check_machine(machine).values())
+        cursor = machine.ext2._alloc.cursor
+        inode = self._rewrite(machine, "/mnt/ext2/log", 20)
+        assert len(inode.extent_map.extents) <= 3
+        assert inode.extent_map.npages == 3
+        # every rewrite lands on the space the truncation freed
+        assert machine.ext2._alloc.cursor == cursor
+        assert all(problems == [] for problems in
+                   check_machine(machine).values())
+
+    def test_hsm_truncation_drops_staged_pages(self):
+        machine = Machine.hsm(cache_pages=64, seed=1404)
+        machine.boot()
+        hsm = machine.hsmfs
+        inode = hsm.create_tape_file("t.dat", 8 * PAGE_SIZE, "VOL000")
+        hsm.read_pages(inode, 0, 8)
+        assert hsm.staged_count(inode) == 8
+        self._rewrite(machine, "/mnt/hsm/t.dat", 2, nbytes=2 * PAGE_SIZE)
+        assert hsm.staged_count(inode) == 2
+        assert check_filesystem(hsm) == []
+
+    def test_stale_stage_detected(self):
+        machine = Machine.hsm(cache_pages=64, seed=1405)
+        machine.boot()
+        hsm = machine.hsmfs
+        inode = hsm.create_tape_file("t.dat", 8 * PAGE_SIZE, "VOL000")
+        hsm.read_pages(inode, 0, 8)
+        inode.size = 2 * PAGE_SIZE
+        assert any("HSM stage holds page" in p
+                   for p in check_filesystem(hsm))
+
+
 class TestCorruptionDetected:
     def test_overlapping_extents(self):
         fs = _fs()

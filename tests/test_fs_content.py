@@ -58,6 +58,33 @@ class TestSyntheticText:
         with pytest.raises(InvalidArgumentError):
             SyntheticText(seed=1, size=100, plants={99: b"LONG"})
 
+    @given(st.lists(st.tuples(st.integers(0, 3 * PAGE_SIZE),
+                              st.binary(min_size=1, max_size=64)),
+                    max_size=8),
+           st.integers(0, 3 * PAGE_SIZE), st.integers(0, 3 * PAGE_SIZE))
+    def test_plants_spliced_in_plants_order(self, plants, offset, length):
+        """Overlapping plants land in ``plants`` order, later over
+        earlier, whether or not the read overlaps any of them — checked
+        against a read of the bare text spliced by hand."""
+        size = 3 * PAGE_SIZE + 64
+        content = SyntheticText(seed=4, size=size)
+        expected = bytearray(content.read(0, size))
+        content.plants = dict(plants)
+        for at, blob in content.plants.items():
+            expected[at:at + len(blob)] = blob
+        assert content.read(offset, length) == bytes(
+            expected[offset:offset + length])
+
+    def test_plants_reassignment_reindexes(self):
+        content = SyntheticText(seed=1, size=10_000,
+                                plants={5_000: b"MARKER"})
+        bare = SyntheticText(seed=1, size=10_000)
+        content.plants = {100: b"NEEDLE"}
+        assert content.read(5_000, 6) == bare.read(5_000, 6)
+        assert content.read(100, 6) == b"NEEDLE"
+        with pytest.raises(TypeError):
+            content.plants[200] = b"X"  # read-only: assign a new dict
+
     def test_consistency_across_read_granularity(self):
         content = SyntheticText(seed=9, size=3 * PAGE_SIZE)
         whole = content.read(0, 3 * PAGE_SIZE)

@@ -85,7 +85,62 @@ class TestExtentMap:
         assert emap.npages == sum(extent_sizes)
 
 
+    @given(st.lists(st.tuples(st.integers(1, 6), st.booleans()),
+                    min_size=1, max_size=12),
+           st.integers(0, 80), st.integers(1, 80))
+    def test_device_runs_match_page_walk(self, layout, start, npages):
+        """One search, then a walk by index: the same runs the per-page
+        address comparison finds, adjacent extents joined."""
+        emap = ExtentMap()
+        page = addr = 0
+        for size, adjacent in layout:
+            if not adjacent:
+                addr += 3 * PAGE_SIZE
+            emap.append(Extent(page, size, addr))
+            page += size
+            addr += size * PAGE_SIZE
+        start = min(start, emap.npages - 1)
+        npages = min(npages, emap.npages - start)
+        expected = []
+        for p in range(start, start + npages):
+            a = emap.addr_of(p)
+            if expected and expected[-1][0] + expected[-1][1] * PAGE_SIZE == a:
+                expected[-1][1] += 1
+            else:
+                expected.append([a, 1])
+        assert [list(r) for r in emap.device_runs(start, npages)] == expected
+        base = emap.addr_of(start)
+        for cap in (1, 2, npages, 100):
+            run = 1
+            while (run < cap and start + run < emap.npages
+                   and emap.addr_of(start + run) == base + run * PAGE_SIZE):
+                run += 1
+            assert emap.contiguous_run(start, cap) == run
+
+    def test_device_runs_reject_unmapped_pages(self):
+        emap = ExtentMap([Extent(0, 4, 0)])
+        with pytest.raises(InvalidArgumentError):
+            list(emap.device_runs(2, 3))
+
+
 class TestAllocator:
+    def test_freed_ranges_reused_lowest_first_and_coalesced(self):
+        alloc = Allocator(capacity=100 * PAGE_SIZE)
+        a, b, c = (alloc.allocate(2)[0][0] for _ in range(3))
+        alloc.free(c, 2)
+        alloc.free(a, 2)
+        alloc.free(b, 2)
+        assert alloc.free_ranges == [(0, 6 * PAGE_SIZE)]
+        assert alloc.allocate(1) == [(0, 1)]
+        assert alloc.allocate(7) == [(PAGE_SIZE, 5), (6 * PAGE_SIZE, 2)]
+        assert alloc.free_ranges == []
+
+    def test_reuse_honours_max_extent_pages(self):
+        alloc = Allocator(capacity=MB, max_extent_pages=2)
+        start = alloc.allocate(4)[0][0]
+        alloc.free(start, 4)
+        assert alloc.allocate(3) == [(start, 2), (start + 2 * PAGE_SIZE, 1)]
+
     def test_bump_allocation(self):
         alloc = Allocator(capacity=100 * PAGE_SIZE)
         pieces = alloc.allocate(5)

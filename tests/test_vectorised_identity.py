@@ -1,13 +1,15 @@
 """Property tests: the vectorised fault path is bit-identical to scalar.
 
 The numpy fast paths (run-batched device math in ``Device.read_run``,
-the kernel's ``_fault_in_batch`` dispatch, and the deferred telemetry
+the kernel's batched one-page clusters, and the deferred telemetry
 fan-in) promise *exact* equality with the scalar reference code, not
 approximation.  Every vectorised-path test here runs the same
 deterministic workload twice — once with
 :func:`repro.devices.batch.set_enabled` forcing the vectorised path,
-once forcing the scalar reference — and asserts the results match bit
-for bit:
+once on the scalar reference: numpy device math off and the blocking
+fault path routed through the per-page oracle loop
+(``tests/oracles/kernel.py``) — and asserts the results match bit for
+bit:
 
 * full workloads (async striding readers + a blocking fault storm)
   across all four filesystem personalities and all three residency
@@ -52,6 +54,8 @@ from repro.machine import Machine, MachineConfig
 from repro.obs.telemetry import Telemetry
 from repro.sim.tasks import EventScheduler, Task
 from repro.sim.units import PAGE_SIZE
+
+from tests.oracles.kernel import use_per_page_faults
 
 PROFILES = ("ext2", "cdrom", "nfs", "hsm")
 
@@ -132,14 +136,17 @@ def _fingerprint(machine, stats):
     )
 
 
-def _run(profile: str, seed: int, pages: int, config: MachineConfig):
+def _run(profile: str, seed: int, pages: int, config: MachineConfig,
+         oracle: bool = False):
     machine, path = _setup(profile, seed, pages, config)
     kernel = machine.kernel
+    if oracle:
+        use_per_page_faults(kernel)
     engine = kernel.attach_engine(block=MERGE_ALL)
     tasks = _striding_readers(kernel, path, pages)
     stats = EventScheduler(kernel, tasks, engine=engine).run()
     # blocking storm phase: sequential re-read sweeps drive the
-    # synchronous fault path (Kernel._fault_in / _fault_in_batch)
+    # synchronous fault path (Kernel._fault_in)
     fd = kernel.open(path)
     chunk = 3 * PAGE_SIZE
     for _ in range(2):
@@ -159,7 +166,8 @@ def _run(profile: str, seed: int, pages: int, config: MachineConfig):
 def test_vectorised_workloads_bit_identical(seed, pages):
     for profile in PROFILES:
         for config in CONFIGS:
-            scalar = _with_batch(False, _run, profile, seed, pages, config)
+            scalar = _with_batch(False, _run, profile, seed, pages, config,
+                                 True)
             vector = _with_batch(True, _run, profile, seed, pages, config)
             assert vector == scalar, (
                 f"{profile}/{config.residency}+{config.event_loop}: "
@@ -286,19 +294,22 @@ def test_sled_build_random_residency_identical(mask):
 
 def test_telemetry_fanin_identical():
     """Deferred fan-in (``TelemetryBatch``) produces byte-identical
-    telemetry exports to immediate per-fault ``on_fault`` calls.
+    telemetry exports to immediate per-fault ``on_fault`` calls (with
+    the blocking sweep on the per-page oracle loop).
 
     Inode ids come from a process-global counter, so both runs pin it to
     the same start — telemetry keys spans by inode id and the exports
     would otherwise differ spuriously.
     """
-    def run():
+    def run(oracle=False):
         saved = inode_mod._inode_ids
         inode_mod._inode_ids = itertools.count(1_000_000)
         try:
             machine, path = _setup("ext2", seed=5, pages=96,
                                    config=MachineConfig())
             kernel = machine.kernel
+            if oracle:
+                use_per_page_faults(kernel)
             telemetry = Telemetry()
             telemetry.attach(kernel)
             engine = kernel.attach_engine(block=MERGE_ALL)
@@ -312,7 +323,7 @@ def test_telemetry_fanin_identical():
         finally:
             inode_mod._inode_ids = saved
 
-    scalar_dict, scalar_trace = _with_batch(False, run)
+    scalar_dict, scalar_trace = _with_batch(False, run, True)
     batch_dict, batch_trace = _with_batch(True, run)
     assert batch_dict == scalar_dict
     assert batch_trace == scalar_trace
@@ -320,8 +331,8 @@ def test_telemetry_fanin_identical():
 
 def test_scalar_fallback_without_numpy(monkeypatch):
     """With numpy knocked out of the batch layer the library still runs
-    every workload — ``read_run`` declines, the kernel takes its scalar
-    reference path, and results match the vectorised run."""
+    every workload — ``read_run`` declines, the kernel faults those pages
+    one by one, and results match the vectorised run."""
     vector = _run("ext2", seed=3, pages=24, config=MachineConfig())
 
     with monkeypatch.context() as m:
