@@ -1,28 +1,29 @@
-"""Core throughput benchmark: hot-structure rewrite + vectorised faults.
+"""Core throughput benchmark: the residency index + vectorised faults.
 
-Two deterministic workloads, each run under the pre-PR-7 reference
-backends (``MachineConfig(residency="sets", event_loop="heap")``) and
-under the tuned defaults (interval runs + calendar queue):
+Two deterministic workloads, each run on a machine whose page-cache
+index is swapped for the page-set reference
+(``tests/oracles/residency.py``, via ``use_set_residency``) and on a
+default machine (the interval-run index); both use the one event loop:
 
 * **sled_refetch** — striding concurrent readers over a cold ext2 file
   with merge + plug on, requesting a fresh SLED vector before *every*
-  chunk (the ``sleds_pick`` usage pattern).  The reference backend pays
-  an O(resident · log resident) sort per vector; the runs backend pays
+  chunk (the ``sleds_pick`` usage pattern).  The page-set index pays
+  an O(resident · log resident) sort per vector; the runs index pays
   O(runs).  This is the headline speedup.
 * **fault_storm** — blocking sequential re-reads of a file 4x the cache,
   so every page hard-faults every pass.  This is the raw fault-path
   throughput number the ``sleds-run profile --budget`` gate consumes.
-  Both configs ride the vectorised fault path (run-batched device math,
+  Both machines ride the vectorised fault path (run-batched device math,
   ``insert_run``, ``advance_run`` — see docs/performance.md); the tuned
-  config wins on top of it because a batched insert costs the runs
+  machine wins on top of it because a batched insert costs the runs
   index two splices per cluster where the sets index pays per page.
-  The storm is timed ``STORM_REPS`` times per config, interleaved, and
+  The storm is timed ``STORM_REPS`` times per machine, interleaved, and
   scored on the best wall time — the gap is structural but only a few
-  percent of a run dominated by config-independent work, so single
+  percent of a run dominated by index-independent work, so single
   samples are noise-bound.
 
 Virtual-time results (makespans, fault counts, events fired) must be
-bit-identical between backends — asserted here and hard-gated by
+bit-identical between the two indexes — asserted here and hard-gated by
 ``sleds-bench check``.  Wall-clock measurements are host-dependent and
 live under ``wall_clock`` keys, which the gate skips; that subtree also
 carries the per-site breakdown of where the storm's wall time goes
@@ -42,11 +43,13 @@ import time
 
 from repro.bench.results import publish_bench
 from repro.block.merge import BlockConfig
-from repro.machine import Machine, MachineConfig
+from repro.machine import Machine
 from repro.obs.profile import HotPathProfiler
 from repro.obs.telemetry import Telemetry
 from repro.sim.tasks import EventScheduler, Task
 from repro.sim.units import PAGE_SIZE
+
+from tests.oracles.residency import use_set_residency
 
 SEED = 7077
 
@@ -70,8 +73,18 @@ BUDGET_FAULTS_PER_S = 250_000
 #: inviting CI flake)
 MIN_SPEEDUP = 1.5
 
-REFERENCE = MachineConfig(residency="sets", event_loop="heap")
-TUNED = MachineConfig()
+REFERENCE = "page-set residency index (tests/oracles/residency.py)"
+TUNED = "interval-run residency index (the default)"
+
+
+def _machine(cache_pages: int, reference: bool) -> Machine:
+    """A booted Unix-utility machine, on the page-set index if
+    ``reference``."""
+    machine = Machine.unix_utilities(cache_pages=cache_pages, seed=SEED)
+    if reference:
+        use_set_residency(machine)
+    machine.boot()
+    return machine
 
 
 def _refetch_readers(kernel):
@@ -89,10 +102,8 @@ def _refetch_readers(kernel):
     return [Task(f"r{i}", reader(i)) for i in range(READERS)]
 
 
-def _run_sled_refetch(config: MachineConfig) -> dict:
-    machine = Machine.unix_utilities(cache_pages=REFETCH_FILE_PAGES * 2,
-                                     seed=SEED, config=config)
-    machine.boot()
+def _run_sled_refetch(reference: bool) -> dict:
+    machine = _machine(REFETCH_FILE_PAGES * 2, reference)
     machine.ext2.create_text_file("bench.dat",
                                   REFETCH_FILE_PAGES * PAGE_SIZE, seed=1)
     kernel = machine.kernel
@@ -110,12 +121,10 @@ def _run_sled_refetch(config: MachineConfig) -> dict:
     }
 
 
-def _run_fault_storm(config: MachineConfig,
+def _run_fault_storm(reference: bool,
                      profiler: HotPathProfiler | None = None,
                      telemetry: bool = False) -> dict:
-    machine = Machine.unix_utilities(cache_pages=STORM_CACHE_PAGES,
-                                     seed=SEED, config=config)
-    machine.boot()
+    machine = _machine(STORM_CACHE_PAGES, reference)
     machine.ext2.create_text_file("storm.dat",
                                   STORM_FILE_PAGES * PAGE_SIZE, seed=1)
     kernel = machine.kernel
@@ -154,14 +163,12 @@ def _storm_site_breakdown() -> dict:
     scalar device path by design).
     """
     storm_prof = HotPathProfiler()
-    _run_fault_storm(TUNED, profiler=storm_prof)
+    _run_fault_storm(reference=False, profiler=storm_prof)
     storm_sites = {row["site"]: row["wall_seconds"]
                    for row in storm_prof.rows()}
 
     tele_prof = HotPathProfiler()
-    machine = Machine.unix_utilities(cache_pages=REFETCH_FILE_PAGES * 2,
-                                     seed=SEED, config=TUNED)
-    machine.boot()
+    machine = _machine(REFETCH_FILE_PAGES * 2, reference=False)
     machine.ext2.create_text_file("bench.dat",
                                   REFETCH_FILE_PAGES * PAGE_SIZE, seed=1)
     kernel = machine.kernel
@@ -185,19 +192,19 @@ def _storm_site_breakdown() -> dict:
 
 
 def test_core_throughput_record():
-    refetch_ref = _run_sled_refetch(REFERENCE)
-    refetch_tuned = _run_sled_refetch(TUNED)
+    refetch_ref = _run_sled_refetch(reference=True)
+    refetch_tuned = _run_sled_refetch(reference=False)
     storm_ref_runs = []
     storm_tuned_runs = []
     for _ in range(STORM_REPS):
-        storm_ref_runs.append(_run_fault_storm(REFERENCE))
-        storm_tuned_runs.append(_run_fault_storm(TUNED))
+        storm_ref_runs.append(_run_fault_storm(reference=True))
+        storm_tuned_runs.append(_run_fault_storm(reference=False))
     storm_ref = dict(storm_ref_runs[0],
                      wall_s=min(r["wall_s"] for r in storm_ref_runs))
     storm_tuned = dict(storm_tuned_runs[0],
                        wall_s=min(r["wall_s"] for r in storm_tuned_runs))
 
-    # the backends are semantics-preserving: bit-identical virtual time
+    # the indexes are semantics-preserving: bit-identical virtual time
     for ref, tuned in ((refetch_ref, refetch_tuned),
                        (storm_ref, storm_tuned)):
         assert ref["makespan_virtual_s"] == tuned["makespan_virtual_s"]
@@ -221,15 +228,13 @@ def test_core_throughput_record():
 
     publish_bench("core_throughput", {
         "benchmark": "core_throughput",
-        "description": ("core rewrite + vectorised fault path: striding "
-                        "readers refetching SLED vectors per chunk "
-                        "(sets+heap reference vs runs+bucket) and a "
-                        "sequential fault storm; virtual-time results "
-                        "gate, wall clock exempt"),
-        "reference_config": {"residency": REFERENCE.residency,
-                             "event_loop": REFERENCE.event_loop},
-        "tuned_config": {"residency": TUNED.residency,
-                         "event_loop": TUNED.event_loop},
+        "description": ("residency index + vectorised fault path: "
+                        "striding readers refetching SLED vectors per "
+                        "chunk (page-set reference index vs interval "
+                        "runs) and a sequential fault storm; virtual-time "
+                        "results gate, wall clock exempt"),
+        "reference_config": REFERENCE,
+        "tuned_config": TUNED,
         "sled_refetch": {
             "file_pages": REFETCH_FILE_PAGES,
             "readers": READERS,

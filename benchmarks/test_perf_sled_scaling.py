@@ -7,8 +7,9 @@ Two claims, checked separately:
   answers it — and even a rebuild after a small residency change makes
   O(runs) batched calls, not O(npages) per-page calls.
 * **Wall-clock** (recorded, host-dependent): repeated FSLEDS_GET via the
-  stamped cache vs the paper's literal full-page walk, 16 refetches per
-  file size up to 64 Ki pages.  Published as ``BENCH_sled_scaling.json``
+  stamped cache vs the paper's literal full-page walk (the reference in
+  ``tests/oracles/builder.py``), 16 refetches per file size up to 64 Ki
+  pages.  Published as ``BENCH_sled_scaling.json``
   at the repo root (the ``sleds-bench check`` baseline) and under
   ``results/`` (the CI artifact); wall times live under each row's
   ``wall_clock`` key so the regression gate skips them.  The ≥5× floor
@@ -23,14 +24,14 @@ import time
 import numpy as np
 
 from repro.bench.results import publish_bench
-
-from repro.core.builder import build_sled_vector_full_walk
 from repro.devices.disk import DiskDevice
 from repro.fs.filesystem import Ext2Like
 from repro.kernel.ioctl import FSLEDS_FILL
 from repro.kernel.kernel import Kernel
 from repro.sim.rng import RngStreams
 from repro.sim.units import MB, PAGE_SIZE
+
+from tests.oracles.builder import build_sled_vector_full_walk
 
 SIZES_PAGES = [1024, 4096, 16384, 65536]
 REFETCHES = 16

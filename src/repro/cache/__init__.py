@@ -9,21 +9,13 @@ from repro.cache.policies import (
     make_policy,
 )
 from repro.cache.readahead import ReadaheadWindow
-from repro.cache.residency import (
-    BitmapResidency,
-    RunResidency,
-    SetResidency,
-    make_residency,
-)
+from repro.cache.residency import RunResidency
 
 __all__ = [
     "PageCache",
     "CacheStats",
     "TenantMemoryLimit",
     "RunResidency",
-    "BitmapResidency",
-    "SetResidency",
-    "make_residency",
     "ReplacementPolicy",
     "LruPolicy",
     "ClockPolicy",

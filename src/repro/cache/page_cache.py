@@ -11,13 +11,12 @@ Two access styles matter:
 
 * :meth:`access` — the read path: records a hit (touching recency) or a
   miss.
-* :meth:`peek` — the SLED builder: checks residency *without* touching
-  recency, so asking for SLEDs does not itself distort the cache state the
-  SLEDs describe.
+* :meth:`peek` — the SLED side (the prefetcher, pick pinning): checks
+  residency *without* touching recency, so asking for SLEDs does not
+  itself distort the cache state the SLEDs describe.
 
 For the SLED builder the cache additionally maintains a per-inode
-*residency index* (pluggable — sorted interval runs by default, an
-optional numpy bitmap, or the plain-set reference; see
+*residency index* (sorted interval runs; see
 :mod:`repro.cache.residency`) and a per-inode *generation*: a
 monotonically increasing counter bumped on every insert, eviction, or
 invalidation that changes the inode's residency.  The run-based index
@@ -66,7 +65,7 @@ from dataclasses import dataclass, field
 
 from repro.cache.policies import (LruPolicy, PageKey, ReplacementPolicy,
                                   make_policy)
-from repro.cache.residency import make_residency
+from repro.cache.residency import RunResidency
 
 _EMPTY_PAGES: frozenset[int] = frozenset()
 
@@ -157,7 +156,6 @@ class PageCache:
     def __init__(self, capacity_pages: int,
                  policy: str | ReplacementPolicy = "lru",
                  max_pinned_fraction: float = 0.9,
-                 residency: str = "runs",
                  shards: int = 1,
                  tenant_limits: dict[str, TenantMemoryLimit] | None = None,
                  rebalance_every: int = 1024) -> None:
@@ -192,8 +190,8 @@ class PageCache:
         self._inserts_since_rebalance = 0
         self._resident: set[PageKey] = set()
         self._pinned: set[PageKey] = set()
-        #: per-inode residency index backend (runs | bitmap | sets)
-        self._index = make_residency(residency)
+        #: per-inode residency index
+        self._index = RunResidency()
         #: per-inode residency generation; entries survive full eviction so
         #: a generation never moves backwards for a given inode id
         self._generations: dict[int, int] = {}
@@ -228,11 +226,6 @@ class PageCache:
     def nshards(self) -> int:
         return self._nshards
 
-    @property
-    def residency_kind(self) -> str:
-        """Which residency index backend this cache runs on."""
-        return self._index.kind
-
     def _shard_of(self, key: PageKey) -> _Shard:
         return self._shards[key[0] % self._nshards]
 
@@ -265,7 +258,7 @@ class PageCache:
                       npages: int) -> list[tuple[int, int]]:
         """Sorted resident ``[start, end)`` page runs clipped to
         ``[0, npages)`` — the shape the SLED interval-merge builder
-        consumes.  O(runs) on the run/bitmap backends."""
+        consumes.  O(runs)."""
         return self._index.runs(inode_id, npages)
 
     def resident_pages(self, inode_id: int, npages: int) -> list[bool]:
@@ -277,7 +270,7 @@ class PageCache:
     def resident_count(self, inode_id: int, npages: int) -> int:
         """Number of the inode's first ``npages`` pages currently cached.
 
-        O(runs) on the run backend (O(1) when the whole index fits)."""
+        O(runs) (O(1) when the whole index fits)."""
         return self._index.count(inode_id, npages)
 
     def tenant_resident_count(self, tenant: str) -> int:

@@ -1,7 +1,7 @@
 """The paper's primary contribution: SLEDs structures, kernel-side builder,
 and the user-space pick/delivery library."""
 
-from repro.core.builder import build_sled_vector, page_level
+from repro.core.builder import build_sled_vector
 from repro.core.delivery import (
     SLEDS_BEST,
     SLEDS_LINEAR,
@@ -35,7 +35,6 @@ __all__ = [
     "SledTableError",
     "LevelCharacteristics",
     "build_sled_vector",
-    "page_level",
     "adjust_to_records",
     "SledsPickSession",
     "sleds_pick_init",

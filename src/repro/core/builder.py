@@ -6,20 +6,16 @@ resides, it assigns a latency and bandwidth from the sleds table to this
 page.  If consecutive pages have the same latency and bandwidth, i.e. they
 are in the same storage device, they are grouped into one SLED."
 
-Two builders produce bit-identical vectors:
+:func:`build_sled_vector` produces the same vector as that literal
+O(npages) walk (the reference in ``tests/oracles/builder.py``) in
+O(resident + runs).  Resident pages come from the cache's per-inode
+residency index as intervals; the gaps between them are answered by the
+filesystem's batched
+:meth:`~repro.fs.filesystem.FileSystem.span_estimates`, which reports
+contiguous same-level runs straight from layout/HSM/NFS state.
 
-* :func:`build_sled_vector_full_walk` — the paper's literal O(npages)
-  walk, one residency peek plus one ``page_estimate`` per page.  Kept as
-  the reference implementation for property tests and benchmarks.
-* :func:`build_sled_vector` — the production path: O(resident + runs).
-  Resident pages come from the cache's per-inode residency index as
-  intervals; the gaps between them are answered by the filesystem's
-  batched :meth:`~repro.fs.filesystem.FileSystem.span_estimates`, which
-  reports contiguous same-level runs straight from layout/HSM/NFS state.
-
-Residency checks use the cache's index (or :meth:`PageCache.peek` in the
-full walk) so asking for SLEDs does not itself perturb the cache recency
-the SLEDs describe.
+Residency checks use the cache's index, so asking for SLEDs does not
+itself perturb the cache recency the SLEDs describe.
 """
 
 from __future__ import annotations
@@ -27,42 +23,9 @@ from __future__ import annotations
 from repro.cache.page_cache import PageCache
 from repro.core.sled import Sled, SledVector
 from repro.core.sled_table import SledTable
-from repro.fs.filesystem import FileSystem, PageEstimate
+from repro.fs.filesystem import FileSystem
 from repro.fs.inode import Inode
 from repro.sim.units import PAGE_SIZE
-
-
-def page_level(cache: PageCache, fs: FileSystem, inode: Inode,
-               page_index: int, table: SledTable) -> tuple[float, float]:
-    """(latency, bandwidth) estimate for one page right now."""
-    if cache.peek((inode.id, page_index)):
-        row = table.memory
-        return row.latency, row.bandwidth
-    return resolve_estimate(table, fs.page_estimate(inode, page_index))
-
-
-def resolve_estimate(table: SledTable, estimate: PageEstimate,
-                     queue_delays: dict[str, float] | None = None,
-                     ) -> tuple[float, float]:
-    """Turn a filesystem estimate into concrete (latency, bandwidth),
-    falling back to the boot-time sleds-table row where not overridden.
-
-    ``queue_delays`` (device_key -> seconds) is the queue-aware term: with
-    a live I/O engine, a request issued *now* waits behind whatever is
-    already queued on the page's device, so that wait is part of the
-    latency the SLED promises.  The estimate's own ``queue_delay`` (set by
-    filesystems that model internal queueing) adds on top.
-    """
-    extra = estimate.queue_delay
-    if queue_delays:
-        extra += queue_delays.get(estimate.device_key, 0.0)
-    if estimate.latency is not None and estimate.bandwidth is not None:
-        return estimate.latency + extra, estimate.bandwidth
-    row = table.lookup(estimate.device_key)
-    latency = estimate.latency if estimate.latency is not None else row.latency
-    bandwidth = (estimate.bandwidth if estimate.bandwidth is not None
-                 else row.bandwidth)
-    return latency + extra, bandwidth
 
 
 def _emit(levels: list[tuple[int, tuple[float, float]]],
@@ -155,15 +118,3 @@ def build_sled_vector(cache: PageCache, fs: FileSystem, inode: Inode,
         gap(cursor, npages - cursor)
     return _emit(levels, size)
 
-
-def build_sled_vector_full_walk(cache: PageCache, fs: FileSystem,
-                                inode: Inode, table: SledTable) -> SledVector:
-    """Reference implementation: the paper's literal per-page walk."""
-    size = inode.size
-    if size == 0:
-        return SledVector([], file_size=0)
-    npages = inode.npages
-    return _emit(
-        [(1, page_level(cache, fs, inode, page, table))
-         for page in range(npages)],
-        size)

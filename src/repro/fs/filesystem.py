@@ -61,7 +61,7 @@ class PageEstimate:
     ``queue_delay`` is *additive* extra latency from queueing the
     filesystem itself models (e.g. a staging queue); the kernel adds its
     own live per-device queue delay on top when an I/O engine is attached
-    (see :func:`repro.core.builder.resolve_estimate`).
+    (see :func:`repro.core.builder.build_sled_vector`).
     """
 
     device_key: str

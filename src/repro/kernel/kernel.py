@@ -115,8 +115,6 @@ class Kernel:
                  readahead_max_pages: int = 16,
                  writeback_threshold_pages: int = 256,
                  io_scheduler="clook",
-                 residency: str = "runs",
-                 event_loop: str = "bucket",
                  cache_shards: int = 1,
                  tenant_limits=None) -> None:
         if noise < 0:
@@ -127,12 +125,8 @@ class Kernel:
         self.clock = VirtualClock()
         self.memory = memory or MemoryDevice()
         self.page_cache = PageCache(cache_pages, policy,
-                                    residency=residency,
                                     shards=cache_shards,
                                     tenant_limits=tenant_limits)
-        #: which event-loop implementation attach_engine builds
-        #: ("bucket" calendar queue, or the reference "heap")
-        self.event_loop_kind = event_loop
         self.sleds_table = SledTable()
         self.counters = KernelCounters()
         # the cache reports every eviction it performs, with its owner
@@ -150,6 +144,9 @@ class Kernel:
         self._mounts: list[tuple[tuple[str, ...], FileSystem]] = []
         self._fds: dict[int, OpenFile] = {}
         self._next_fd = 3
+        #: ids of unlinked inodes a descriptor still holds open; the last
+        #: close frees them
+        self._unlinked: set[int] = set()
         #: inode.id -> (fs, inode, set of dirty page indices)
         self._dirty: dict[int, tuple[FileSystem, Inode, set[int]]] = {}
         #: inode.id -> (stamp, vector): FSLEDS_GET results cached until the
@@ -274,8 +271,6 @@ class Kernel:
         if engine is None:
             engine = IoEngine(self, block=block)
         engine.attach()
-        if self.profiler is not None:
-            engine.loop.profiler = self.profiler
         return engine
 
     def detach_engine(self) -> None:
@@ -396,21 +391,32 @@ class Kernel:
     def close(self, fd: int) -> None:
         self._syscall("close")
         of = self._fd(fd)
-        self._flush_inode(of.inode.id)
+        inode = of.inode
+        last_of_unlinked = inode.id in self._unlinked and sum(
+            other.inode is inode for other in self._fds.values()) == 1
+        if not last_of_unlinked:
+            self._flush_inode(inode.id)
         del self._fds[fd]
+        if last_of_unlinked:
+            # the file's dirty pages die with it; its space goes back
+            self._unlinked.discard(inode.id)
+            self._truncate(of.fs, inode)
 
     @_syscall_span("unlink")
     def unlink(self, path: str) -> None:
-        """Remove a file, its cached pages, and pending dirty state."""
+        """Remove a file's directory entry.  Its cached pages, dirty state
+        and space go with it, or on the last ``close`` while a descriptor
+        still has it open (its bytes stay readable until then)."""
         self._syscall("unlink")
         fs, inode, rel = self.resolve(path)
         if inode.is_dir:
             raise IsADirectorySimError(path)
         parent = fs.resolve(rel[:-1])
         del parent.entries[rel[-1]]
-        self.page_cache.invalidate_inode(inode.id)
-        self._dirty.pop(inode.id, None)
-        self._sled_cache.pop(inode.id, None)
+        if any(of.inode is inode for of in self._fds.values()):
+            self._unlinked.add(inode.id)
+        else:
+            self._truncate(fs, inode)
 
     @_syscall_span("stat")
     def stat(self, path: str) -> StatResult:

@@ -45,23 +45,10 @@ FULL_SCALE_CACHE_PAGES = (42 * MB) // (4 * 1024)
 
 @dataclass(frozen=True)
 class MachineConfig:
-    """Core implementation + multi-tenant knobs.
+    """Multi-tenant knobs.
 
-    The first group is semantics-preserving backends: every combination
-    produces bit-identical virtual-time results (property-tested in
-    ``tests/test_core_fastpath_identity.py``); the knobs trade host
-    speed and memory, nothing observable inside the simulation.
-
-    * ``residency`` — the page cache's per-inode index:
-      ``"runs"`` (sorted interval runs, the default), ``"bitmap"``
-      (numpy boolean arrays, fastest for dense random churn), or
-      ``"sets"`` (the pre-PR-7 per-page sets, kept as the reference).
-    * ``event_loop`` — ``"bucket"`` (calendar queue, the default) or
-      ``"heap"`` (the pre-PR-7 binary heap reference).
-
-    The second group configures the multi-tenant kernel.  At the
-    defaults (one shard, no limits, fair elevator off) the machine is
-    bit-identical to the single-tenant seed — property-tested in
+    At the defaults (one shard, no limits, fair elevator off) the machine
+    is bit-identical to the single-tenant seed — property-tested in
     ``tests/test_multitenant_identity.py``:
 
     * ``shards`` — page-cache shard count (1 = the unsharded seed
@@ -73,15 +60,29 @@ class MachineConfig:
       budgets over a C-LOOK position policy).
     """
 
-    residency: str = "runs"
-    event_loop: str = "bucket"
     shards: int = 1
     tenant_limits: dict | None = None
     fair_elevator: bool = False
 
 
-#: the default knobs (interval runs + calendar queue)
+#: the default knobs (one shard, no tenant limits, C-LOOK elevator)
 DEFAULT_CONFIG = MachineConfig()
+
+
+def _make_kernel(config: MachineConfig | None, memory: MemoryDevice,
+                 rng: RngStreams, cache_pages: int, policy: str,
+                 noise: float, readahead_min_pages: int,
+                 readahead_max_pages: int) -> Kernel:
+    """The kernel every profile builds: its memory, cache and readahead
+    arguments plus ``config``'s multi-tenant knobs."""
+    config = config or DEFAULT_CONFIG
+    return Kernel(cache_pages=cache_pages, policy=policy,
+                  memory=memory, rng=rng, noise=noise,
+                  readahead_min_pages=readahead_min_pages,
+                  readahead_max_pages=readahead_max_pages,
+                  io_scheduler="fair" if config.fair_elevator else "clook",
+                  cache_shards=config.shards,
+                  tenant_limits=config.tenant_limits)
 
 
 @dataclass
@@ -120,19 +121,12 @@ class Machine:
                        readahead_max_pages: int = 16,
                        config: MachineConfig | None = None) -> "Machine":
         """The paper's Unix-utility testbed (Table 2)."""
-        config = config or DEFAULT_CONFIG
         rng = RngStreams(seed)
-        memory = MemoryDevice(latency=175 * NSEC, bandwidth=48 * MB)
-        kernel = Kernel(cache_pages=cache_pages, policy=policy,
-                        memory=memory, rng=rng, noise=noise,
-                        readahead_min_pages=readahead_min_pages,
-                        readahead_max_pages=readahead_max_pages,
-                        residency=config.residency,
-                        event_loop=config.event_loop,
-                        io_scheduler="fair" if config.fair_elevator
-                        else "clook",
-                        cache_shards=config.shards,
-                        tenant_limits=config.tenant_limits)
+        kernel = _make_kernel(
+            config, MemoryDevice(latency=175 * NSEC, bandwidth=48 * MB),
+            rng, cache_pages=cache_pages, policy=policy, noise=noise,
+            readahead_min_pages=readahead_min_pages,
+            readahead_max_pages=readahead_max_pages)
         machine = cls(kernel=kernel)
         root = Ext2Like(
             DiskDevice(name="root-disk", capacity=2 * GB,
@@ -158,19 +152,12 @@ class Machine:
                  readahead_max_pages: int = 16,
                  config: MachineConfig | None = None) -> "Machine":
         """The paper's LHEASOFT testbed (Table 3)."""
-        config = config or DEFAULT_CONFIG
         rng = RngStreams(seed)
-        memory = MemoryDevice(latency=210 * NSEC, bandwidth=87 * MB)
-        kernel = Kernel(cache_pages=cache_pages, policy=policy,
-                        memory=memory, rng=rng, noise=noise,
-                        readahead_min_pages=readahead_min_pages,
-                        readahead_max_pages=readahead_max_pages,
-                        residency=config.residency,
-                        event_loop=config.event_loop,
-                        io_scheduler="fair" if config.fair_elevator
-                        else "clook",
-                        cache_shards=config.shards,
-                        tenant_limits=config.tenant_limits)
+        kernel = _make_kernel(
+            config, MemoryDevice(latency=210 * NSEC, bandwidth=87 * MB),
+            rng, cache_pages=cache_pages, policy=policy, noise=noise,
+            readahead_min_pages=readahead_min_pages,
+            readahead_max_pages=readahead_max_pages)
         machine = cls(kernel=kernel)
         disk = DiskDevice(
             name="lhea-disk",
@@ -195,19 +182,12 @@ class Machine:
             readahead_max_pages: int = 16,
             config: MachineConfig | None = None) -> "Machine":
         """An HSM machine: tape library + disk staging cache + local disk."""
-        config = config or DEFAULT_CONFIG
         rng = RngStreams(seed)
-        memory = MemoryDevice(latency=175 * NSEC, bandwidth=48 * MB)
-        kernel = Kernel(cache_pages=cache_pages, policy=policy,
-                        memory=memory, rng=rng, noise=noise,
-                        readahead_min_pages=readahead_min_pages,
-                        readahead_max_pages=readahead_max_pages,
-                        residency=config.residency,
-                        event_loop=config.event_loop,
-                        io_scheduler="fair" if config.fair_elevator
-                        else "clook",
-                        cache_shards=config.shards,
-                        tenant_limits=config.tenant_limits)
+        kernel = _make_kernel(
+            config, MemoryDevice(latency=175 * NSEC, bandwidth=48 * MB),
+            rng, cache_pages=cache_pages, policy=policy, noise=noise,
+            readahead_min_pages=readahead_min_pages,
+            readahead_max_pages=readahead_max_pages)
         machine = cls(kernel=kernel)
         root = Ext2Like(
             DiskDevice(name="root-disk", capacity=2 * GB,

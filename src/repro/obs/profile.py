@@ -109,7 +109,7 @@ class HotPathProfiler:
 
     def attach(self, kernel) -> "HotPathProfiler":
         """Instrument ``kernel``, its page cache, and (if present) the
-        attached engine's event loop.  ``Kernel.attach_engine`` keeps the
+        attached engine's event loop.  ``IoEngine.attach`` keeps the
         loop instrumented when the engine arrives later."""
         kernel.profiler = self
         kernel.page_cache.profiler = self

@@ -445,7 +445,7 @@ class Telemetry:
     def _queue_runs(self, fs, inode, queue_delays
                     ) -> list[tuple[int, int, float]]:
         """Split each non-resident page's predicted latency into its
-        queue term (what resolve_estimate folded in) and the rest, so
+        queue term (what build_sled_vector folded in) and the rest, so
         fault-time errors attribute to queue vs. service: the page runs
         ``(start, end, queue seconds)`` with a positive queue term, in
         file order — the filesystem's estimate runs minus the cache's

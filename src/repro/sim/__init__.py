@@ -17,12 +17,7 @@ from repro.sim.errors import (
     ReadOnlyFilesystemError,
 )
 from repro.sim.engine import IoEngine
-from repro.sim.events import (
-    EventLoop,
-    HeapEventLoop,
-    IoFuture,
-    make_event_loop,
-)
+from repro.sim.events import EventLoop, IoFuture
 from repro.sim.rng import RngStreams
 from repro.sim.units import (
     KB,
@@ -39,8 +34,6 @@ from repro.sim.units import (
 __all__ = [
     "VirtualClock",
     "EventLoop",
-    "HeapEventLoop",
-    "make_event_loop",
     "IoFuture",
     "IoEngine",
     "RngStreams",

@@ -33,7 +33,7 @@ from __future__ import annotations
 from repro.block.merge import BlockConfig, PlugQueue
 from repro.block.scheduler import DeviceQueue, IoScheduler
 from repro.sim.errors import InvalidArgumentError
-from repro.sim.events import IoFuture, make_event_loop
+from repro.sim.events import EventLoop, IoFuture
 from repro.sim.units import PAGE_SIZE
 
 
@@ -43,8 +43,7 @@ class IoEngine:
     def __init__(self, kernel, scheduler: IoScheduler | None = None,
                  block: BlockConfig | None = None) -> None:
         self.kernel = kernel
-        self.loop = make_event_loop(
-            getattr(kernel, "event_loop_kind", "bucket"), kernel.clock)
+        self.loop = EventLoop(kernel.clock)
         self.scheduler = scheduler if scheduler is not None \
             else kernel.io_scheduler
         #: block-layer front-end config; None (or an all-off config)

@@ -4,32 +4,15 @@ The synchronous substrate charges every device access to one global clock,
 so no request ever queues and no task's CPU overlaps another task's I/O.
 This module supplies the missing time model:
 
-* :class:`EventLoop` — a calendar-queue scheduler of ``(time, seq)``-ordered
-  events layered on :class:`~repro.sim.clock.VirtualClock`.  Popping an
-  event whose timestamp lies in the future advances the clock to it (charged
-  to the event's category); events at equal timestamps fire in FIFO
+* :class:`EventLoop` — one binary heap of ``(time, seq)``-ordered events
+  layered on :class:`~repro.sim.clock.VirtualClock`.  Popping an event
+  whose timestamp lies in the future advances the clock to it (charged to
+  the event's category); events at equal timestamps fire in FIFO
   submission order, which is what makes concurrent runs reproducible bit
   for bit.
-* :class:`HeapEventLoop` — the original single-binary-heap implementation,
-  kept as the reference for the old-vs-new property tests and the
-  core-throughput benchmark baseline.
 * :class:`IoFuture` — the completion handle tasks block on.  A future is
   resolved (or failed) from inside an event callback; registered waiters
   are notified in registration order.
-
-The calendar queue keeps one FIFO deque per distinct timestamp plus a
-binary heap of the raw timestamps (floats compare at C speed, unlike
-``Event.__lt__``), and a dedicated *now deque* for events scheduled at the
-current clock reading — the ``at_now`` fast path that plugged dispatch
-chains hit on every flush.  Ordering stays exactly ``(time, seq)``:
-within a deque, arrival order *is* seq order, and any heap bucket at time
-``T`` was populated while the clock was strictly before ``T``, so its
-events always carry smaller seqs than now-deque events at ``T`` and must
-drain first.
-
-Cancellation is eager where O(1) (either end of a deque) and lazily
-compacted otherwise, so cancelled events no longer rot in the queue, and
-``pending`` is an exact live counter rather than an O(n) scan.
 
 Nothing here reads wall-clock time or draws randomness: given the same
 submission sequence, two runs replay the identical event order.
@@ -39,7 +22,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from time import perf_counter
 from typing import Callable
 
@@ -50,7 +32,7 @@ from repro.sim.errors import InvalidArgumentError
 class Event:
     """One scheduled callback; compare by ``(time, seq)`` for heap order."""
 
-    __slots__ = ("time", "seq", "callback", "category", "cancelled", "_q")
+    __slots__ = ("time", "seq", "callback", "category", "cancelled")
 
     def __init__(self, time: float, seq: int, callback: Callable[[], None],
                  category: str) -> None:
@@ -59,9 +41,6 @@ class Event:
         self.callback = callback
         self.category = category
         self.cancelled = False
-        #: the deque currently holding this event (None once popped);
-        #: lets cancel() unlink eagerly when the event sits at either end
-        self._q: deque[Event] | None = None
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
@@ -72,7 +51,7 @@ class Event:
 
 
 class EventLoop:
-    """A deterministic calendar-queue event loop driving one virtual clock.
+    """A deterministic event loop driving one virtual clock.
 
     Determinism rules (relied on by the concurrency tests):
 
@@ -85,39 +64,19 @@ class EventLoop:
        their device's category, so a solo run's per-category totals are
        identical to the synchronous path's).
 
-    Structure: ``_buckets`` maps each distinct future timestamp to a FIFO
-    deque; ``_times`` is a min-heap of those raw timestamps (a timestamp
-    may appear more than once after its bucket empties and is re-created —
-    stale entries are dropped on pop).  ``_now_q`` collects events
-    scheduled at exactly ``clock.now`` so same-timestamp chains never touch
-    the heap at all; if the clock moves on while such events are still
-    queued (a task charging CPU between steps), they migrate to a regular
-    bucket first.
+    Cancellation is lazy: a cancelled event stays in the heap until a pop
+    reaches it, and ``pending`` counts the live ones.
     """
-
-    kind = "bucket"
 
     def __init__(self, clock: VirtualClock) -> None:
         self.clock = clock
-        #: timestamp -> FIFO deque of events at that timestamp
-        self._buckets: dict[float, deque[Event]] = {}
-        #: min-heap of bucket timestamps (may hold stale duplicates)
-        self._times: list[float] = []
-        #: events scheduled at exactly ``_now_time`` (the at-now fast path)
-        self._now_q: deque[Event] = deque()
-        self._now_time = clock.now
-        self._seq = 0
+        self._heap: list[Event] = []
+        self._seq = itertools.count()
         self._fired = 0
-        self._live = 0
-        #: cancelled events still buried mid-deque (compacted when they
-        #: outnumber live ones)
-        self._stale = 0
         #: optional wall-clock profiler (repro.obs.profile); None = off.
         #: Reads wall time only — virtual timings are bit-identical with
         #: a profiler attached or not.
         self.profiler = None
-
-    # -- scheduling ------------------------------------------------------
 
     def at(self, time: float, callback: Callable[[], None],
            category: str = "wait") -> Event:
@@ -126,27 +85,12 @@ class EventLoop:
         ``time`` may equal the current time (fires on the next ``step``)
         but never lie in the past — the clock is monotonic.
         """
-        now = self.clock.now
-        if time < now:
+        if time < self.clock.now:
             raise InvalidArgumentError(
-                f"cannot schedule event in the past: {time} < {now}")
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, seq, callback, category)
-        self._live += 1
-        if time == now:
-            if self._now_q and self._now_time != now:
-                self._flush_now()
-            self._now_time = now
-            self._now_q.append(event)
-            event._q = self._now_q
-        else:
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                bucket = self._buckets[time] = deque()
-                heapq.heappush(self._times, time)
-            bucket.append(event)
-            event._q = bucket
+                f"cannot schedule event in the past: {time} < "
+                f"{self.clock.now}")
+        event = Event(time, next(self._seq), callback, category)
+        heapq.heappush(self._heap, event)
         return event
 
     def after(self, delay: float, callback: Callable[[], None],
@@ -157,166 +101,24 @@ class EventLoop:
         return self.at(self.clock.now + delay, callback, category)
 
     def cancel(self, event: Event) -> None:
-        """Drop a scheduled event (safe if already fired or cancelled).
-
-        The event is unlinked immediately when it sits at either end of
-        its deque; otherwise it is marked and swept by the next pop to
-        reach it, with a full compaction once cancelled events outnumber
-        live ones.  Either way ``pending`` reflects the cancellation at
-        once.
-        """
-        if event.cancelled:
-            return
+        """Drop a scheduled event (safe if already fired or cancelled)."""
         event.cancelled = True
-        q = event._q
-        if q is None:
-            return  # already fired (or already swept)
-        self._live -= 1
-        if q[0] is event:
-            q.popleft()
-            event._q = None
-        elif q[-1] is event:
-            q.pop()
-            event._q = None
-        else:
-            self._stale += 1
-            if self._stale > 64 and self._stale > self._live:
-                self._compact()
-            return
-        if not q and q is not self._now_q:
-            # empty bucket: drop the dict entry; its heap timestamp goes
-            # stale and is skipped on the next pop that reaches it
-            self._buckets.pop(event.time, None)
-
-    def _flush_now(self) -> None:
-        """Migrate a left-over now-deque into the bucket structure.
-
-        Only needed when the clock advanced (a task charging CPU) while
-        same-timestamp events were still queued; their timestamp is now in
-        the past, which is legal — they simply fire without advancing the
-        clock.  Bucket events at the same timestamp were scheduled strictly
-        earlier (smaller seqs), so appending preserves FIFO order.
-        """
-        nq = self._now_q
-        t = self._now_time
-        bucket = self._buckets.get(t)
-        if bucket is None:
-            self._buckets[t] = nq
-            heapq.heappush(self._times, t)
-            self._now_q = deque()
-        else:
-            bucket.extend(nq)
-            for event in nq:
-                event._q = bucket
-            nq.clear()
-
-    def _compact(self) -> None:
-        """Rebuild every deque without its cancelled entries."""
-        for time, bucket in list(self._buckets.items()):
-            live = deque(e for e in bucket if not e.cancelled)
-            for event in bucket:
-                if event.cancelled:
-                    event._q = None
-            if live:
-                self._buckets[time] = live
-                for event in live:
-                    event._q = live
-            else:
-                del self._buckets[time]
-        nq = deque(e for e in self._now_q if not e.cancelled)
-        for event in self._now_q:
-            if event.cancelled:
-                event._q = None
-        self._now_q = nq
-        for event in nq:
-            event._q = nq
-        self._stale = 0
-
-    # -- execution -------------------------------------------------------
 
     @property
     def pending(self) -> int:
-        """Number of events still scheduled (cancelled ones excluded).
-
-        O(1): an exact counter maintained on schedule/cancel/fire.
-        """
-        return self._live
+        """Number of events still scheduled (cancelled ones excluded)."""
+        return sum(1 for e in self._heap if not e.cancelled)
 
     @property
     def fired(self) -> int:
         """Total events fired so far (monitoring / tests)."""
         return self._fired
 
-    def _pop_next(self) -> Event | None:
-        """Remove and return the earliest live event, or None when idle."""
-        nq = self._now_q
-        if nq and self._now_time != self.clock.now:
-            self._flush_now()
-            nq = self._now_q
-        buckets = self._buckets
-        times = self._times
-        while True:
-            if times:
-                t = times[0]
-                bucket = buckets.get(t)
-                if not bucket:
-                    heapq.heappop(times)
-                    if bucket is not None:
-                        del buckets[t]
-                    continue
-                if nq and t > self._now_time:
-                    event = nq.popleft()
-                else:
-                    # bucket events at t <= now were scheduled while the
-                    # clock was strictly before t: smaller seqs, fire first
-                    event = bucket.popleft()
-                    if not bucket:
-                        heapq.heappop(times)
-                        del buckets[t]
-            elif nq:
-                event = nq.popleft()
-            else:
-                return None
-            event._q = None
-            if event.cancelled:
-                # swept a lazily-cancelled entry (already uncounted)
-                self._stale -= 1
-                continue
-            return event
-
     def peek_time(self) -> float | None:
         """Timestamp of the next live event, or None when idle."""
-        nq = self._now_q
-        if nq and self._now_time != self.clock.now:
-            self._flush_now()
-            nq = self._now_q
-        while nq and nq[0].cancelled:
-            nq.popleft()._q = None
-            self._stale -= 1
-        buckets = self._buckets
-        times = self._times
-        head: float | None = None
-        while times:
-            t = times[0]
-            bucket = buckets.get(t)
-            if not bucket:
-                heapq.heappop(times)
-                if bucket is not None:
-                    del buckets[t]
-                continue
-            while bucket and bucket[0].cancelled:
-                bucket.popleft()._q = None
-                self._stale -= 1
-            if not bucket:
-                heapq.heappop(times)
-                del buckets[t]
-                continue
-            head = t
-            break
-        if nq:
-            return self._now_time if head is None or self._now_time <= head \
-                else head
-        return head
+        while self._heap and self._heap[0].cancelled:
+            heapq.heappop(self._heap)
+        return self._heap[0].time if self._heap else None
 
     def step(self) -> bool:
         """Fire the next event, advancing the clock to it.
@@ -325,19 +127,20 @@ class EventLoop:
         """
         profiler = self.profiler
         t0 = perf_counter() if profiler is not None else 0.0
-        event = self._pop_next()
-        if event is None:
-            return False
-        self._live -= 1
-        if event.time > self.clock.now:
-            # advance_to lands bit-exactly on the timestamp; a
-            # subtract-then-add round trip can drift an ulp
-            self.clock.advance_to(event.time, event.category)
-        self._fired += 1
-        event.callback()
-        if profiler is not None:
-            profiler.add("event_loop.dispatch", t0)
-        return True
+        while self._heap:
+            event = heapq.heappop(self._heap)
+            if event.cancelled:
+                continue
+            if event.time > self.clock.now:
+                # advance_to lands bit-exactly on the timestamp; a
+                # subtract-then-add round trip can drift an ulp
+                self.clock.advance_to(event.time, event.category)
+            self._fired += 1
+            event.callback()
+            if profiler is not None:
+                profiler.add("event_loop.dispatch", t0)
+            return True
+        return False
 
     def run_until_idle(self, max_events: int = 10_000_000) -> int:
         """Fire events until the queue drains; returns the count fired."""
@@ -352,103 +155,6 @@ class EventLoop:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"EventLoop(now={self.clock.now:.6f}, pending={self.pending})"
-
-
-class HeapEventLoop:
-    """The pre-calendar-queue event loop: one binary heap of events.
-
-    Kept verbatim as the *reference implementation* for the old-vs-new
-    property tests (``tests/test_sim_events_property.py``) and as the
-    baseline side of ``benchmarks/test_perf_core_throughput.py``.
-    Cancellation is lazy (cancelled events rot in the heap until popped)
-    and ``pending`` is an O(n) scan — exactly the costs the calendar
-    queue removes.
-    """
-
-    kind = "heap"
-
-    def __init__(self, clock: VirtualClock) -> None:
-        self.clock = clock
-        self._heap: list[Event] = []
-        self._seq = itertools.count()
-        self._fired = 0
-        self.profiler = None
-
-    def at(self, time: float, callback: Callable[[], None],
-           category: str = "wait") -> Event:
-        if time < self.clock.now:
-            raise InvalidArgumentError(
-                f"cannot schedule event in the past: {time} < "
-                f"{self.clock.now}")
-        event = Event(time, next(self._seq), callback, category)
-        heapq.heappush(self._heap, event)
-        return event
-
-    def after(self, delay: float, callback: Callable[[], None],
-              category: str = "wait") -> Event:
-        if delay < 0:
-            raise InvalidArgumentError(f"negative delay: {delay}")
-        return self.at(self.clock.now + delay, callback, category)
-
-    def cancel(self, event: Event) -> None:
-        event.cancelled = True
-
-    @property
-    def pending(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)
-
-    @property
-    def fired(self) -> int:
-        return self._fired
-
-    def peek_time(self) -> float | None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
-
-    def step(self) -> bool:
-        profiler = self.profiler
-        t0 = perf_counter() if profiler is not None else 0.0
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            if event.time > self.clock.now:
-                self.clock.advance_to(event.time, event.category)
-            self._fired += 1
-            event.callback()
-            if profiler is not None:
-                profiler.add("event_loop.dispatch", t0)
-            return True
-        return False
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> int:
-        fired = 0
-        while self.step():
-            fired += 1
-            if fired > max_events:
-                raise RuntimeError(
-                    f"event loop exceeded {max_events} events; "
-                    f"likely a rescheduling cycle")
-        return fired
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"HeapEventLoop(now={self.clock.now:.6f}, "
-                f"pending={self.pending})")
-
-
-EVENT_LOOP_KINDS = ("bucket", "heap")
-
-
-def make_event_loop(kind: str, clock: VirtualClock):
-    """Build an event loop by kind: ``bucket`` (default) or ``heap``."""
-    if kind == "bucket":
-        return EventLoop(clock)
-    if kind == "heap":
-        return HeapEventLoop(clock)
-    raise InvalidArgumentError(
-        f"unknown event loop kind {kind!r}; expected one of "
-        f"{EVENT_LOOP_KINDS}")
 
 
 class IoFuture:

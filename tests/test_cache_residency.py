@@ -1,14 +1,14 @@
-"""Property tests: the three residency backends are interchangeable.
+"""Property tests: the run index answers like the set reference.
 
-``RunResidency`` (interval runs), ``BitmapResidency`` (numpy), and
-``SetResidency`` (the pre-PR-7 reference) must answer every query
-identically under any legal update sequence — that is what lets
-:class:`~repro.machine.MachineConfig` swap them without perturbing a
-single virtual-time result.  A pure-python model (dict of sets) provides
-the ground truth; a second test drives whole :class:`PageCache`
-instances, one per backend, through an identical churn script and
-demands identical observable state (residency, runs, counts, bitmaps,
-generations, eviction stats).
+``RunResidency`` (interval runs, the page cache's index) and
+``SetResidency`` (a page set per inode, ``tests/oracles/residency.py``)
+must answer every query identically under any legal update sequence —
+that is what lets the identity tests swap the reference into a machine
+without perturbing a single virtual-time result.  A pure-python model
+(dict of sets) provides the ground truth; a second test drives two
+whole :class:`PageCache` instances, one on each index, through an
+identical churn script and demands identical observable state
+(residency, runs, counts, bitmaps, generations, eviction stats).
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ import random
 import pytest
 
 from repro.cache.page_cache import PageCache
-from repro.cache.residency import RESIDENCY_KINDS, make_residency
+from repro.cache.residency import RunResidency
+
+from tests.oracles.residency import SetResidency
 
 SEEDS = range(6)
 OPS = 600
@@ -49,11 +51,21 @@ def _check_against_model(backends, model):
                     p in pages for p in range(npages)]
 
 
+def _span(rng, page, ok) -> int:
+    """How many pages from ``page`` one update covers: one (a point
+    update) half the time, else the stretch of up to 8 pages for which
+    ``ok`` holds (a run update)."""
+    limit = 1 if rng.random() < 0.5 else rng.randint(2, 8)
+    n = 0
+    while n < limit and ok(page + n):
+        n += 1
+    return n
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_backends_match_model(seed):
-    assert set(RESIDENCY_KINDS) == {"runs", "bitmap", "sets"}
     rng = random.Random(seed)
-    backends = [make_residency(kind) for kind in RESIDENCY_KINDS]
+    backends = [RunResidency(), SetResidency()]
     model: dict[int, set[int]] = {}
 
     for op in range(OPS):
@@ -64,16 +76,24 @@ def test_backends_match_model(seed):
             # sequential bias: extend the trailing run half the time
             page = (max(pages) + 1 if pages and rng.random() < 0.5
                     else rng.randrange(MAX_PAGE))
-            if page not in pages and page < MAX_PAGE:
-                pages.add(page)
+            n = _span(rng, page, lambda p: p < MAX_PAGE and p not in pages)
+            if n:
+                pages.update(range(page, page + n))
                 for index in backends:
-                    index.add(inode_id, page)
+                    if n == 1:
+                        index.add(inode_id, page)
+                    else:
+                        index.add_run(inode_id, page, n)
         elif roll < 0.85:
             if pages:
                 page = rng.choice(sorted(pages))
-                pages.discard(page)
+                n = _span(rng, page, lambda p: p in pages)
+                pages.difference_update(range(page, page + n))
                 for index in backends:
-                    index.discard(inode_id, page)
+                    if n == 1:
+                        index.discard(inode_id, page)
+                    else:
+                        index.discard_run(inode_id, page, n)
         elif roll < 0.95:
             expected = sorted(pages)
             pages.clear()
@@ -93,8 +113,8 @@ def test_backends_match_model(seed):
 def test_page_caches_agree_across_backends(seed):
     """Whole caches on different backends stay observably identical."""
     rng = random.Random(seed)
-    caches = [PageCache(48, policy="lru", residency=kind)
-              for kind in RESIDENCY_KINDS]
+    caches = [PageCache(48, policy="lru"), PageCache(48, policy="lru")]
+    caches[1]._index = SetResidency()
 
     for _ in range(OPS):
         roll = rng.random()
@@ -117,20 +137,19 @@ def test_page_caches_agree_across_backends(seed):
         else:
             assert len({cache.unpin(key) for cache in caches}) == 1
 
-    reference = caches[0]
-    for cache in caches[1:]:
-        assert len(cache) == len(reference)
-        assert cache.stats.hits == reference.stats.hits
-        assert cache.stats.misses == reference.stats.misses
-        assert cache.stats.evictions == reference.stats.evictions
-        for inode_id in INODES:
-            assert (cache.resident_set(inode_id)
-                    == reference.resident_set(inode_id))
-            assert (cache.resident_runs(inode_id, MAX_PAGE)
-                    == reference.resident_runs(inode_id, MAX_PAGE))
-            assert (cache.resident_pages(inode_id, MAX_PAGE)
-                    == reference.resident_pages(inode_id, MAX_PAGE))
-            assert (cache.resident_count(inode_id, MAX_PAGE)
-                    == reference.resident_count(inode_id, MAX_PAGE))
-            assert (cache.generation(inode_id)
-                    == reference.generation(inode_id))
+    cache, reference = caches  # the run index, the set reference
+    assert len(cache) == len(reference)
+    assert cache.stats.hits == reference.stats.hits
+    assert cache.stats.misses == reference.stats.misses
+    assert cache.stats.evictions == reference.stats.evictions
+    for inode_id in INODES:
+        assert (cache.resident_set(inode_id)
+                == reference.resident_set(inode_id))
+        assert (cache.resident_runs(inode_id, MAX_PAGE)
+                == reference.resident_runs(inode_id, MAX_PAGE))
+        assert (cache.resident_pages(inode_id, MAX_PAGE)
+                == reference.resident_pages(inode_id, MAX_PAGE))
+        assert (cache.resident_count(inode_id, MAX_PAGE)
+                == reference.resident_count(inode_id, MAX_PAGE))
+        assert (cache.generation(inode_id)
+                == reference.generation(inode_id))

@@ -5,17 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.page_cache import PageCache
-from repro.core.builder import (
-    build_sled_vector,
-    build_sled_vector_full_walk,
-    page_level,
-)
+from repro.core.builder import build_sled_vector
 from repro.core.sled_table import SledTable
 from repro.devices.disk import DiskDevice
 from repro.fs.filesystem import Ext2Like
 from repro.sim.units import MB, PAGE_SIZE
 
 import numpy as np
+
+from tests.oracles.builder import build_sled_vector_full_walk, page_level
 
 
 def _setup(file_pages=16, cache_pages=64):

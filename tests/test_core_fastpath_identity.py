@@ -1,44 +1,42 @@
-"""Property test: every MachineConfig backend combination is bit-identical.
+"""Property test: the residency index never moves a virtual-time result.
 
-The PR-7 fast-path rewrite (calendar-queue event loop, interval-run /
-bitmap residency indexes, slab-recycled completions) must not move a
-single virtual-time result.  The same workload — concurrent striding
-readers with merge + plug, SLED vectors requested mid-stream, then a
-synchronous re-read pass — runs under the pre-PR reference backends
-(``sets`` + ``heap``), the tuned defaults (``runs`` + ``bucket``), and
-the numpy bitmap backend, across all four filesystem personalities
-(ext2, cdrom, nfs, hsm).  The fingerprint covers the clock, its
-per-category charges, the fault counters, and every per-task stat.
+The same workload — concurrent striding readers with merge + plug, SLED
+vectors requested mid-stream, then a synchronous re-read pass — runs on
+a default machine (the page cache's interval-run index) and on one whose
+index is swapped for the page-set reference
+(``tests/oracles/residency.py``), across all four filesystem
+personalities (ext2, cdrom, nfs, hsm).  The fingerprint covers the
+clock, its per-category charges, the fault counters, and every per-task
+stat.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.block.merge import BlockConfig
-from repro.machine import Machine, MachineConfig
+from repro.machine import Machine
 from repro.sim.tasks import EventScheduler, Task
 from repro.sim.units import PAGE_SIZE
 
-PROFILES = ("ext2", "cdrom", "nfs", "hsm")
+from tests.oracles.residency import use_set_residency
 
-CONFIGS = (
-    MachineConfig(residency="sets", event_loop="heap"),    # pre-PR-7
-    MachineConfig(residency="runs", event_loop="bucket"),  # tuned default
-    MachineConfig(residency="bitmap", event_loop="bucket"),
-)
+PROFILES = ("ext2", "cdrom", "nfs", "hsm")
 
 MERGE_ALL = BlockConfig(merge=True, plug=True)
 
 
-def _setup(profile: str, seed: int, pages: int, config: MachineConfig):
+def _setup(profile: str, seed: int, pages: int, reference: bool):
     if profile == "hsm":
         machine = Machine.hsm(cache_pages=256, stage_pages=512,
-                              seed=9000 + seed, config=config)
+                              seed=9000 + seed)
+        if reference:
+            use_set_residency(machine)
         machine.boot()
         machine.hsmfs.create_tape_file("f", pages * PAGE_SIZE, "VOL000")
         return machine, "/mnt/hsm/f"
-    machine = Machine.unix_utilities(cache_pages=256, seed=9000 + seed,
-                                     config=config)
+    machine = Machine.unix_utilities(cache_pages=256, seed=9000 + seed)
+    if reference:
+        use_set_residency(machine)
     machine.boot()
     fs = {"ext2": machine.ext2, "cdrom": machine.cdrom,
           "nfs": machine.nfs}[profile]
@@ -75,12 +73,10 @@ def _fingerprint(machine, stats):
     )
 
 
-def _run(profile: str, seed: int, pages: int, config: MachineConfig):
-    machine, path = _setup(profile, seed, pages, config)
+def _run(profile: str, seed: int, pages: int, reference: bool):
+    machine, path = _setup(profile, seed, pages, reference)
     kernel = machine.kernel
-    assert kernel.page_cache.residency_kind == config.residency
     engine = kernel.attach_engine(block=MERGE_ALL)
-    assert engine.loop.kind == config.event_loop
     tasks = _striding_readers(kernel, path, pages)
     stats = EventScheduler(kernel, tasks, engine=engine).run()
     # synchronous warm re-read: hits, plus the sync fault path for any
@@ -98,9 +94,8 @@ def _run(profile: str, seed: int, pages: int, config: MachineConfig):
 @given(seed=st.integers(0, 50), pages=st.integers(2, 40))
 def test_backend_configs_are_bit_identical(seed, pages):
     for profile in PROFILES:
-        reference = _run(profile, seed, pages, CONFIGS[0])
-        for config in CONFIGS[1:]:
-            candidate = _run(profile, seed, pages, config)
-            assert candidate == reference, (
-                f"{profile}: {config} diverged from the sets+heap "
-                f"reference backends")
+        reference = _run(profile, seed, pages, reference=True)
+        candidate = _run(profile, seed, pages, reference=False)
+        assert candidate == reference, (
+            f"{profile}: the run index diverged from the page-set "
+            f"reference")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fs.check import check_filesystem
 from repro.kernel.kernel import SEEK_CUR, SEEK_END, SEEK_SET
 from repro.sim.errors import (
     BadFileDescriptorError,
@@ -210,6 +211,60 @@ class TestNamespaceSyscalls:
     def test_no_mount_for_path(self, kernel):
         with pytest.raises(FileNotFoundSimError):
             kernel.resolve("/zzz/file")
+
+
+class TestUnlinkFreesSpace:
+    """``unlink`` hands a file's space back, on the last ``close`` if a
+    descriptor still holds the file open."""
+
+    def test_create_unlink_cycles_reuse_one_files_space(self, unix_machine):
+        k = unix_machine.kernel
+        allocator = unix_machine.ext2._allocator()
+        start = allocator.cursor
+        for _ in range(50):
+            fd = k.open("/mnt/ext2/tmp.dat", "w")
+            k.write(fd, b"x" * (8 * PAGE_SIZE))
+            k.close(fd)
+            k.unlink("/mnt/ext2/tmp.dat")
+        assert allocator.cursor == start + 8 * PAGE_SIZE
+        assert allocator.free_ranges == [(start, start + 8 * PAGE_SIZE)]
+        assert check_filesystem(unix_machine.ext2) == []
+
+    def test_unlinked_file_reads_until_last_close(self, unix_machine):
+        k = unix_machine.kernel
+        allocator = unix_machine.ext2._allocator()
+        path = "/mnt/ext2/held.dat"
+        data = bytes(range(256)) * (4 * PAGE_SIZE // 256)
+        fd = k.open(path, "w")
+        k.write(fd, data)
+        k.close(fd)
+        first = k.open(path)
+        second = k.open(path)
+        k.unlink(path)
+        with pytest.raises(FileNotFoundSimError):
+            k.stat(path)
+        k.close(first)
+        k.page_cache.clear()  # the next read faults from the device
+        assert k.pread(second, 0, len(data)) == data
+        assert allocator.free_ranges == []
+        k.close(second)
+        assert sum(end - start for start, end
+                   in allocator.free_ranges) == len(data)
+        assert len(k.page_cache) == 0
+
+    def test_hsm_checks_clean_after_last_close(self, hsm_machine):
+        k = hsm_machine.kernel
+        hsm = hsm_machine.hsmfs
+        hsm.create_tape_file("tape.dat", 16 * PAGE_SIZE, "VOL000")
+        fd = k.open("/mnt/hsm/tape.dat")
+        k.pread(fd, 0, 16 * PAGE_SIZE)
+        inode = k._fd(fd).inode
+        assert hsm.staged_count(inode) == 16
+        k.unlink("/mnt/hsm/tape.dat")
+        assert hsm.staged_count(inode) == 16  # still open: still staged
+        k.close(fd)
+        assert hsm.staged_count(inode) == 0
+        assert check_filesystem(hsm) == []
 
 
 class TestProcessAccounting:

@@ -1,14 +1,15 @@
-"""Property test: the calendar-queue loop is bit-identical to the heap loop.
+"""Property test: the event loop against a linear-scan reference.
 
-The PR-7 :class:`~repro.sim.events.EventLoop` (calendar queue, eager
-cancellation, ``at_now`` fast path) must preserve the exact virtual-time
-semantics of the original :class:`~repro.sim.events.HeapEventLoop`:
-same fired sequence (tag, timestamp, clock reading), same per-category
-clock charges, same ``pending`` and ``peek_time`` at every checkpoint —
-under randomized schedules with heavy same-timestamp ties, cancellations
-(including at either deque end and mid-deque), reschedule-from-callback
-(the at-now path), and CPU charges between steps (which strand at-now
-events in the past and force the now-queue migration).
+:class:`~repro.sim.events.EventLoop` (a binary heap with lazy
+cancellation) must fire exactly what
+:class:`tests.oracles.events.ReferenceEventLoop` (a list scanned for the
+earliest live ``(time, seq)``) fires: the same sequence (tag, timestamp,
+clock reading), the same per-category clock charges, the same
+``pending`` and ``peek_time`` at every checkpoint — under random
+programs with heavy same-timestamp ties, cancellations (of pending,
+fired and already-cancelled events), reschedules at the current time
+from inside callbacks, and CPU charges between steps that leave
+same-timestamp events in the past.
 
 The driver replays one seeded random program against each loop; any
 behavioural divergence shows up as a trace mismatch.
@@ -19,9 +20,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.clock import VirtualClock
-from repro.sim.events import EVENT_LOOP_KINDS, make_event_loop
+from repro.sim.events import EventLoop
+
+from tests.oracles.events import ReferenceEventLoop
 
 SEEDS = range(10)
 OPS_PER_SEED = 400
@@ -30,11 +35,11 @@ DELAYS = (0.0, 0.0, 0.001, 0.001, 0.001, 0.0025, 0.005)
 CATEGORIES = ("disk", "cpu", "nfs-net", "wait")
 
 
-def _drive(kind: str, seed: int) -> tuple[list, dict, int]:
+def _drive(make_loop, seed: int) -> tuple[list, dict, int]:
     """Run one seeded random schedule; return (trace, charges, fired)."""
     rng = random.Random(seed)
     clock = VirtualClock()
-    loop = make_event_loop(kind, clock)
+    loop = make_loop(clock)
     trace: list = []
     tags: list = []          # tag -> Event handle, in creation order
     live_tags: list[int] = []  # tags believed schedulable/cancellable
@@ -49,11 +54,11 @@ def _drive(kind: str, seed: int) -> tuple[list, dict, int]:
             # (a divergence fails the trace comparison either way)
             roll = rng.random()
             if roll < 0.25:
-                # at-now fast path: same-timestamp chain from a callback
+                # same-timestamp chain from a callback
                 schedule(clock.now, rng.choice(CATEGORIES))
             elif roll < 0.35:
-                # charge CPU, then schedule at the *new* now — the
-                # previous now-queue (if any) is stranded in the past
+                # charge CPU, then schedule at the *new* now — events
+                # still queued at the old now are left in the past
                 clock.advance(0.0001, "cpu")
                 schedule(clock.now, rng.choice(CATEGORIES))
             elif roll < 0.45:
@@ -74,7 +79,7 @@ def _drive(kind: str, seed: int) -> tuple[list, dict, int]:
             schedule(clock.now + rng.choice(DELAYS),
                      rng.choice(CATEGORIES))
         elif roll < 0.60 and live_tags:
-            # cancel anywhere: front/back of a deque or buried mid-deque
+            # cancel anywhere in the queue
             victim = live_tags.pop(rng.randrange(len(live_tags)))
             loop.cancel(tags[victim])
             trace.append(("cancel", victim))
@@ -94,20 +99,32 @@ def _drive(kind: str, seed: int) -> tuple[list, dict, int]:
     return trace, clock.categories(), loop.fired
 
 
+def _assert_matches_reference(seed: int) -> None:
+    ref_trace, ref_charges, ref_fired = _drive(ReferenceEventLoop, seed)
+    trace, charges, fired = _drive(EventLoop, seed)
+    assert fired == ref_fired
+    assert charges == ref_charges
+    assert trace == ref_trace
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_bucket_loop_matches_heap_loop(seed):
-    assert set(EVENT_LOOP_KINDS) == {"bucket", "heap"}
-    heap_trace, heap_charges, heap_fired = _drive("heap", seed)
-    bucket_trace, bucket_charges, bucket_fired = _drive("bucket", seed)
-    assert bucket_fired == heap_fired
-    assert bucket_charges == heap_charges
-    assert bucket_trace == heap_trace
+    """The production loop (the heap) against the reference, on fixed
+    seeds."""
+    _assert_matches_reference(seed)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_event_loop_matches_reference_on_random_seeds(seed):
+    """The same comparison on seeds hypothesis draws."""
+    _assert_matches_reference(seed)
 
 
 def test_bucket_pending_is_exact_under_cancellation():
-    """The O(1) live counter tracks schedule/cancel/fire exactly."""
+    """``pending`` tracks schedule/cancel/fire exactly."""
     clock = VirtualClock()
-    loop = make_event_loop("bucket", clock)
+    loop = EventLoop(clock)
     events = [loop.at(0.001 * (i % 5), lambda: None) for i in range(50)]
     assert loop.pending == 50
     for event in events[::3]:
@@ -120,14 +137,14 @@ def test_bucket_pending_is_exact_under_cancellation():
     assert loop.pending == 0
 
 
-def test_bucket_compaction_sweeps_mid_deque_cancels():
-    """Mid-deque cancellations trigger compaction and stay exact."""
+def test_cancelled_events_never_fire_rest_fire_fifo():
+    """Cancelled events never fire; the rest of a same-timestamp batch
+    fires in scheduling order."""
     clock = VirtualClock()
-    loop = make_event_loop("bucket", clock)
+    loop = EventLoop(clock)
     fired_tags: list[int] = []
     events = [loop.at(0.5, (lambda i=i: fired_tags.append(i)))
               for i in range(300)]
-    # cancel a mid-deque stripe (never the ends) to defeat eager unlink
     for i in range(1, 299, 2):
         loop.cancel(events[i])
     assert loop.pending == 300 - 149

@@ -4,15 +4,14 @@ bit-identical to the paper's literal full-page walk.
 For ext2- (flat and zone-aware), NFS- (server SLEDs + server cache), and
 HSM-backed files, a randomized interleaving of reads, writes, drops,
 migrations, and repeated ``get_sleds`` calls must never produce a vector
-that differs from :func:`build_sled_vector_full_walk` recomputed from
-scratch at the same instant — whether the kernel answered from its
+that differs from the full walk (``tests/oracles/builder.py``)
+recomputed from scratch at the same instant — whether the kernel answered from its
 generation-stamped cache or rebuilt via ``span_estimates``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.builder import build_sled_vector_full_walk
 from repro.devices.autochanger import Autochanger
 from repro.devices.disk import DiskDevice, Zone
 from repro.devices.network import NfsDevice
@@ -26,6 +25,8 @@ from repro.sim.rng import RngStreams
 from repro.sim.units import KB, MB, PAGE_SIZE
 
 import numpy as np
+
+from tests.oracles.builder import build_sled_vector_full_walk
 
 FILE_PAGES = 24
 FILE_SIZE = FILE_PAGES * PAGE_SIZE - 700  # last page partial

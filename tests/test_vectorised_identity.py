@@ -12,17 +12,18 @@ fault path routed through the per-page oracle loop
 bit:
 
 * full workloads (async striding readers + a blocking fault storm)
-  across all four filesystem personalities and all three residency
-  backends, fingerprinting the clock, per-category charges, fault
-  counters, per-task stats, per-device stats/component totals, and the
-  final SLED vector;
+  across all four filesystem personalities, on the page cache's run
+  index and on the page-set reference (``tests/oracles/residency.py``),
+  fingerprinting the clock, per-category charges, fault counters,
+  per-task stats, per-device stats/component totals, and the final SLED
+  vector;
 * the per-device batch kernels against a scalar read loop over
   randomized run layouts — durations, running stats, busy horizon,
   component totals, and rng stream alignment;
 * the run-based SLED build (residency runs plus batched span
-  estimates) against the paper's literal per-page walk, with and
-  without queue delays, on multi-page resident runs and on random
-  residency;
+  estimates) against the paper's literal per-page walk
+  (``tests/oracles/builder.py``), with and without queue delays, on
+  multi-page resident runs and on random residency;
 * the telemetry fan-in (``TelemetryBatch``) against immediate per-fault
   ``on_fault`` calls, comparing whole telemetry exports;
 * the no-numpy fallback: with the batch module's numpy knocked out the
@@ -39,10 +40,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.block.merge import BlockConfig
-from repro.core import builder
-from repro.core.builder import (build_sled_vector,
-                                 build_sled_vector_full_walk,
-                                 resolve_estimate)
+from repro.core.builder import build_sled_vector
 from repro.devices import batch
 from repro.devices.cdrom import CdromDevice
 from repro.devices.disk import DiskDevice
@@ -50,20 +48,16 @@ from repro.devices.flash import FlashDevice
 from repro.devices.memory import MemoryDevice
 from repro.devices.network import NfsDevice
 from repro.fs import inode as inode_mod
-from repro.machine import Machine, MachineConfig
+from repro.machine import Machine
 from repro.obs.telemetry import Telemetry
 from repro.sim.tasks import EventScheduler, Task
 from repro.sim.units import PAGE_SIZE
 
+from tests.oracles.builder import build_sled_vector_full_walk
 from tests.oracles.kernel import use_per_page_faults
+from tests.oracles.residency import use_set_residency
 
 PROFILES = ("ext2", "cdrom", "nfs", "hsm")
-
-CONFIGS = (
-    MachineConfig(residency="sets", event_loop="heap"),    # pre-PR-7
-    MachineConfig(residency="runs", event_loop="bucket"),  # tuned default
-    MachineConfig(residency="bitmap", event_loop="bucket"),
-)
 
 MERGE_ALL = BlockConfig(merge=True, plug=True)
 
@@ -78,15 +72,18 @@ def _with_batch(flag, fn, *args):
         batch.set_enabled(None)
 
 
-def _setup(profile: str, seed: int, pages: int, config: MachineConfig):
+def _setup(profile: str, seed: int, pages: int, set_index: bool = False):
     if profile == "hsm":
         machine = Machine.hsm(cache_pages=256, stage_pages=512,
-                              seed=13000 + seed, config=config)
+                              seed=13000 + seed)
+        if set_index:
+            use_set_residency(machine)
         machine.boot()
         machine.hsmfs.create_tape_file("f", pages * PAGE_SIZE, "VOL000")
         return machine, "/mnt/hsm/f"
-    machine = Machine.unix_utilities(cache_pages=256, seed=13000 + seed,
-                                     config=config)
+    machine = Machine.unix_utilities(cache_pages=256, seed=13000 + seed)
+    if set_index:
+        use_set_residency(machine)
     machine.boot()
     fs = {"ext2": machine.ext2, "cdrom": machine.cdrom,
           "nfs": machine.nfs}[profile]
@@ -136,9 +133,9 @@ def _fingerprint(machine, stats):
     )
 
 
-def _run(profile: str, seed: int, pages: int, config: MachineConfig,
+def _run(profile: str, seed: int, pages: int, set_index: bool = False,
          oracle: bool = False):
-    machine, path = _setup(profile, seed, pages, config)
+    machine, path = _setup(profile, seed, pages, set_index)
     kernel = machine.kernel
     if oracle:
         use_per_page_faults(kernel)
@@ -165,13 +162,18 @@ def _run(profile: str, seed: int, pages: int, config: MachineConfig,
 @given(seed=st.integers(0, 50), pages=st.integers(2, 40))
 def test_vectorised_workloads_bit_identical(seed, pages):
     for profile in PROFILES:
-        for config in CONFIGS:
-            scalar = _with_batch(False, _run, profile, seed, pages, config,
-                                 True)
-            vector = _with_batch(True, _run, profile, seed, pages, config)
-            assert vector == scalar, (
-                f"{profile}/{config.residency}+{config.event_loop}: "
-                f"vectorised fault path diverged from the scalar reference")
+        # every reference at once: scalar device math, the per-page
+        # fault loop and the page-set index
+        reference = _with_batch(False, _run, profile, seed, pages, True,
+                                True)
+        for vectorised, set_index in ((False, False), (True, True),
+                                      (True, False)):
+            candidate = _with_batch(vectorised, _run, profile, seed, pages,
+                                    set_index, not vectorised)
+            assert candidate == reference, (
+                f"{profile} (vectorised={vectorised}, "
+                f"set_index={set_index}): diverged from the scalar "
+                f"reference")
 
 
 DEVICE_FACTORIES = (
@@ -218,7 +220,7 @@ def test_device_batch_math_matches_scalar(seed, runs):
 def _sled_inputs(profile: str):
     """A machine whose file has 4-page resident runs every 16 pages, so
     the SLED build sees multi-page runs on both sides of each gap."""
-    machine, path = _setup(profile, seed=7, pages=256, config=MachineConfig())
+    machine, path = _setup(profile, seed=7, pages=256)
     kernel = machine.kernel
     fd = kernel.open(path)
     for chunk in range(0, 256, 8):
@@ -232,19 +234,6 @@ def _sled_inputs(profile: str):
 def _sleds(vector):
     return tuple((s.offset, s.length, s.latency, s.bandwidth)
                  for s in vector)
-
-
-def _walk_with_queue_delays(cache, fs, inode, table, queue_delays):
-    """The paper's literal per-page walk, each non-resident page's
-    latency raised by its device's queue delay."""
-    memory = table.memory
-    return builder._emit(
-        [(1, (memory.latency, memory.bandwidth)
-          if cache.peek((inode.id, page))
-          else resolve_estimate(table, fs.page_estimate(inode, page),
-                                queue_delays))
-         for page in range(inode.npages)],
-        inode.size)
 
 
 def test_sled_build_vector_path_identical():
@@ -263,8 +252,8 @@ def test_sled_build_vector_path_identical():
         queue_delays = {key: 0.00173 for key in keys}
         queued = build_sled_vector(cache, fs, inode, table,
                                    queue_delays=queue_delays)
-        walked = _walk_with_queue_delays(cache, fs, inode, table,
-                                         queue_delays)
+        walked = build_sled_vector_full_walk(cache, fs, inode, table,
+                                             queue_delays)
         assert _sleds(queued) == _sleds(walked), (
             f"{profile}: queue delays diverged from the per-page walk")
         assert _sleds(queued) != _sleds(fast)
@@ -277,8 +266,7 @@ def test_sled_build_random_residency_identical(mask):
     the workload leaves behind, the run-based build and the literal
     per-page walk agree exactly."""
     pages = len(mask)
-    machine, path = _setup("ext2", seed=11, pages=pages,
-                           config=MachineConfig())
+    machine, path = _setup("ext2", seed=11, pages=pages)
     kernel = machine.kernel
     fd = kernel.open(path)
     for page, resident in enumerate(mask):
@@ -305,8 +293,7 @@ def test_telemetry_fanin_identical():
         saved = inode_mod._inode_ids
         inode_mod._inode_ids = itertools.count(1_000_000)
         try:
-            machine, path = _setup("ext2", seed=5, pages=96,
-                                   config=MachineConfig())
+            machine, path = _setup("ext2", seed=5, pages=96)
             kernel = machine.kernel
             if oracle:
                 use_per_page_faults(kernel)
@@ -333,13 +320,13 @@ def test_scalar_fallback_without_numpy(monkeypatch):
     """With numpy knocked out of the batch layer the library still runs
     every workload — ``read_run`` declines, the kernel faults those pages
     one by one, and results match the vectorised run."""
-    vector = _run("ext2", seed=3, pages=24, config=MachineConfig())
+    vector = _run("ext2", seed=3, pages=24)
 
     with monkeypatch.context() as m:
         m.setattr(batch, "_np", None)
         assert not batch.enabled()
         device = DiskDevice(rng=np.random.default_rng(1))
         assert device.read_run(0, 8, PAGE_SIZE) is None
-        fallback = _run("ext2", seed=3, pages=24, config=MachineConfig())
+        fallback = _run("ext2", seed=3, pages=24)
 
     assert fallback == vector
