@@ -102,7 +102,7 @@ class BlockConfig:
         return self.merge_policies.get(device.time_category, _NO_MERGE)
 
 
-@dataclass
+@dataclass(slots=True)
 class FaultRun:
     """One fault cluster held in a plug, waiting to be batched."""
 
@@ -223,35 +223,47 @@ class PlugQueue:
 
     # -- intake ----------------------------------------------------------
 
-    def submit(self, fs, inode, page: int, cluster: int,
-               tenant: str | None = None,
-               speculative: bool = False) -> IoFuture:
-        """Hold one fault cluster; returns the future its task blocks on."""
-        now = self.loop.clock.now
-        future = IoFuture(f"plug:{fs.name}:{inode.id}:{page}+{cluster}")
-        run = FaultRun(fs=fs, inode=inode, page=page, cluster=cluster,
-                       addr=inode.extent_map.addr_of(page),
-                       nbytes=cluster * PAGE_SIZE, future=future,
-                       submit_time=now, seq=self._seq, tenant=tenant,
-                       speculative=speculative)
-        self._seq += 1
-        if tenant is not None:
-            self.tenant_requests[tenant] = (
-                self.tenant_requests.get(tenant, 0) + 1)
-            self.tenant_bytes[tenant] = (
-                self.tenant_bytes.get(tenant, 0) + run.nbytes)
-        self._plugged.append(run)
-        self._plugged_bytes += run.nbytes
-        # plug churn invalidates queue-aware SLED estimates, same as
-        # elevator churn
-        self.queue.congestion_epoch += 1
-        if (len(self._plugged) >= self.config.plug_max_requests
-                or self._plugged_bytes >= self.config.plug_max_bytes):
-            self.flush()
-        elif self._timer is None:
-            window = self.config.plug_window if self.config.plug else 0.0
-            self._timer = self.loop.after(window, self.flush)
-        return future
+    def submit(self, fs, inode, runs, tenant: str | None = None,
+               speculative: bool = False) -> list[IoFuture]:
+        """Hold the ``(page, cluster)`` fault clusters ``runs`` of one
+        inode, in order; returns one future per cluster, each the one
+        its task blocks on.  Each cluster is its own :class:`FaultRun`
+        with its own sequence number, and the plug's depth and byte
+        thresholds are checked after each one, so a batch flushes at
+        the same cluster a run of single submissions would."""
+        config = self.config
+        max_requests = config.plug_max_requests
+        max_bytes = config.plug_max_bytes
+        window = config.plug_window if config.plug else 0.0
+        queue = self.queue
+        addr_of = inode.extent_map.addr_of
+        clock = self.loop.clock
+        futures = []
+        for page, cluster in runs:
+            future = IoFuture(f"plug:{fs.name}:{inode.id}:{page}+{cluster}")
+            nbytes = cluster * PAGE_SIZE
+            self._plugged.append(FaultRun(
+                fs=fs, inode=inode, page=page, cluster=cluster,
+                addr=addr_of(page), nbytes=nbytes, future=future,
+                submit_time=clock.now, seq=self._seq, tenant=tenant,
+                speculative=speculative))
+            self._seq += 1
+            if tenant is not None:
+                self.tenant_requests[tenant] = (
+                    self.tenant_requests.get(tenant, 0) + 1)
+                self.tenant_bytes[tenant] = (
+                    self.tenant_bytes.get(tenant, 0) + nbytes)
+            self._plugged_bytes += nbytes
+            # plug churn invalidates queue-aware SLED estimates, same as
+            # elevator churn
+            queue.congestion_epoch += 1
+            if (len(self._plugged) >= max_requests
+                    or self._plugged_bytes >= max_bytes):
+                self.flush()
+            elif self._timer is None:
+                self._timer = self.loop.after(window, self.flush)
+            futures.append(future)
+        return futures
 
     def cancel(self, future: IoFuture) -> bool:
         """Withdraw a still-plugged request; resolves its future with

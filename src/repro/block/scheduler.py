@@ -63,9 +63,9 @@ class DispatchRecord:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IoRequest:
-    """One block-layer request."""
+    """One block-layer request; requests compare by identity."""
 
     addr: int
     nbytes: int
@@ -92,6 +92,8 @@ class IoScheduler(ABC):
     returns the single best request given the *live* head — the online
     form both the batch executor and the event-driven
     :class:`DeviceQueue` use, re-consulting the device between requests.
+    Position policies implement :meth:`pick`, the same choice without
+    the removal.
     """
 
     name = "abstract"
@@ -99,7 +101,8 @@ class IoScheduler(ABC):
     #: schedulers); stateless position policies are safely shared
     per_device = False
     #: True when the scheduler differentiates by request tenant — the
-    #: kernel folds the current tenant into SLED stamps only then
+    #: kernel folds the current tenant into SLED stamps only then, and a
+    #: DeviceQueue hands it a per-tenant index (``take_indexed``)
     tenant_aware = False
 
     def clone(self) -> IoScheduler:
@@ -113,14 +116,17 @@ class IoScheduler(ABC):
 
     def take_next(self, pending: list[IoRequest],
                   head_pos: int) -> IoRequest:
-        """Remove and return the next request to service from ``pending``.
-
-        The default defers to :meth:`order`; concrete schedulers override
-        with an O(n) selection.  ``pending`` must be non-empty.
-        """
-        request = self.order(pending, head_pos)[0]
+        """Remove and return the next request to service from
+        ``pending`` (non-empty)."""
+        request = self.pick(pending, head_pos)
         pending.remove(request)
         return request
+
+    def pick(self, pending: list[IoRequest], head_pos: int) -> IoRequest:
+        """The next request to service from ``pending`` (non-empty),
+        left in place.  The default defers to :meth:`order`; concrete
+        schedulers override with an O(n) selection."""
+        return self.order(pending, head_pos)[0]
 
 
 class FcfsScheduler(IoScheduler):
@@ -132,9 +138,8 @@ class FcfsScheduler(IoScheduler):
               head_pos: int) -> list[IoRequest]:
         return list(requests)
 
-    def take_next(self, pending: list[IoRequest],
-                  head_pos: int) -> IoRequest:
-        return pending.pop(0)
+    def pick(self, pending: list[IoRequest], head_pos: int) -> IoRequest:
+        return pending[0]
 
 
 class SstfScheduler(IoScheduler):
@@ -163,11 +168,8 @@ class SstfScheduler(IoScheduler):
             pos = nearest.end
         return out
 
-    def take_next(self, pending: list[IoRequest],
-                  head_pos: int) -> IoRequest:
-        nearest = min(pending, key=self._key(head_pos))
-        pending.remove(nearest)
-        return nearest
+    def pick(self, pending: list[IoRequest], head_pos: int) -> IoRequest:
+        return min(pending, key=self._key(head_pos))
 
 
 class ClookScheduler(IoScheduler):
@@ -183,17 +185,24 @@ class ClookScheduler(IoScheduler):
                         key=lambda r: r.addr)
         return ahead + behind
 
-    def take_next(self, pending: list[IoRequest],
-                  head_pos: int) -> IoRequest:
+    def pick(self, pending: list[IoRequest], head_pos: int) -> IoRequest:
         ahead = [r for r in pending if r.addr >= head_pos]
         pool = ahead if ahead else pending  # wrap to the lowest address
-        best = min(pool, key=lambda r: r.addr)
-        pending.remove(best)
-        return best
+        return min(pool, key=lambda r: r.addr)
 
 
-#: tenant key used internally for untenanted requests in the DRR ring
-_NO_TENANT = ""
+#: the DRR ring's key for untenanted requests
+_NO_TENANT = None
+
+
+def by_tenant(requests) -> dict[str | None, list[IoRequest]]:
+    """``requests`` bucketed by tenant: each bucket in ``requests``
+    order, buckets in order of their first request — the index
+    :meth:`FairScheduler.take_indexed` selects from."""
+    buckets: dict[str | None, list[IoRequest]] = {}
+    for request in requests:
+        buckets.setdefault(request.tenant, []).append(request)
+    return buckets
 
 
 class FairScheduler(IoScheduler):
@@ -231,18 +240,14 @@ class FairScheduler(IoScheduler):
                 f"inner policy {self.inner.name!r} is stateful; "
                 "layer fair over a position policy (fcfs/sstf/clook)")
         self.quantum_bytes = quantum_bytes
-        self._deficits: dict[str, float] = {}
-        self._ring: list[str] = []
+        self._deficits: dict[str | None, float] = {}
+        self._ring: list[str | None] = []
         self._cursor = 0
         #: cumulative bytes served per tenant (observability / tests)
         self.served_bytes: dict[str, int] = {}
 
     def clone(self) -> FairScheduler:
         return type(self)(inner=self.inner, quantum_bytes=self.quantum_bytes)
-
-    @staticmethod
-    def _tenant_key(request: IoRequest) -> str:
-        return request.tenant if request.tenant is not None else _NO_TENANT
 
     def order(self, requests: list[IoRequest],
               head_pos: int) -> list[IoRequest]:
@@ -260,16 +265,18 @@ class FairScheduler(IoScheduler):
 
     def take_next(self, pending: list[IoRequest],
                   head_pos: int) -> IoRequest:
-        # one pass: each tenant's requests in pending order, tenants in
-        # first-arrival order
-        buckets: dict[str, list[IoRequest]] = {}
-        for request in pending:
-            key = request.tenant if request.tenant is not None else _NO_TENANT
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [request]
-            else:
-                bucket.append(request)
+        request = self.take_indexed(by_tenant(pending), head_pos)
+        pending.remove(request)
+        return request
+
+    def take_indexed(self, buckets: dict[str | None, list[IoRequest]],
+                     head_pos: int) -> IoRequest:
+        """Remove and return the next request from ``buckets`` (the
+        pending requests by tenant, as :func:`by_tenant` builds them); a
+        bucket left empty is deleted.  The one selection routine:
+        :meth:`take_next` builds the index from a list, a
+        :class:`DeviceQueue` keeps its own up to date."""
+        pick = self.inner.pick
         if len(buckets) == 1:
             # untenanted or single-tenant: pure position policy; drop any
             # stale DRR state so the next contended period starts fresh
@@ -277,41 +284,38 @@ class FairScheduler(IoScheduler):
                 self._ring.clear()
                 self._deficits.clear()
                 self._cursor = 0
-            request = self.inner.take_next(pending, head_pos)
-            key = self._tenant_key(request)
-            if key != _NO_TENANT:
-                self.served_bytes[key] = (
-                    self.served_bytes.get(key, 0) + request.nbytes)
-            return request
-        deficits = self._deficits
-        ring = self._ring
-        for key in buckets:  # ring membership in first-arrival order
-            if key not in deficits:
-                deficits[key] = 0.0
-                ring.append(key)
-        while True:
-            if self._cursor >= len(ring):
-                self._cursor = 0
-            tenant = ring[self._cursor]
-            mine = buckets.get(tenant)
-            if mine is None:
-                # drained tenant: leave the ring, deficit resets (DRR)
-                ring.pop(self._cursor)
-                del deficits[tenant]
-                continue
-            # the inner policy removes its pick from the list it is given;
-            # hand it a copy so a tenant revisited this call sees all of
-            # its requests again
-            candidate = self.inner.take_next(list(mine), head_pos)
-            if deficits[tenant] >= candidate.nbytes:
-                deficits[tenant] -= candidate.nbytes
-                pending.remove(candidate)
-                if tenant != _NO_TENANT:
-                    self.served_bytes[tenant] = (
-                        self.served_bytes.get(tenant, 0) + candidate.nbytes)
-                return candidate
-            deficits[tenant] += self.quantum_bytes
-            self._cursor += 1
+            tenant, mine = next(iter(buckets.items()))
+            request = pick(mine, head_pos)
+        else:
+            deficits = self._deficits
+            ring = self._ring
+            for key in buckets:  # ring membership in first-arrival order
+                if key not in deficits:
+                    deficits[key] = 0.0
+                    ring.append(key)
+            while True:
+                if self._cursor >= len(ring):
+                    self._cursor = 0
+                tenant = ring[self._cursor]
+                mine = buckets.get(tenant)
+                if mine is None:
+                    # drained tenant: leave the ring, deficit resets (DRR)
+                    ring.pop(self._cursor)
+                    del deficits[tenant]
+                    continue
+                request = pick(mine, head_pos)
+                if deficits[tenant] >= request.nbytes:
+                    deficits[tenant] -= request.nbytes
+                    break
+                deficits[tenant] += self.quantum_bytes
+                self._cursor += 1
+        mine.remove(request)
+        if not mine:
+            del buckets[tenant]
+        if tenant is not _NO_TENANT:
+            self.served_bytes[tenant] = (
+                self.served_bytes.get(tenant, 0) + request.nbytes)
+        return request
 
 
 SCHEDULERS = {
@@ -384,6 +388,11 @@ class DeviceQueue:
     kernel folds it into the SLED cache stamp so queue churn invalidates
     queue-aware delivery estimates.
 
+    Under a tenant-aware elevator the queue also keeps its pending
+    requests bucketed by tenant (:func:`by_tenant`'s shape, kept up to
+    date on arrival, dispatch and cancellation), so neither selection
+    nor the per-tenant :meth:`estimated_delay` rescans the queue.
+
     ``history`` bounds the dispatch-history ring: every dispatched
     request leaves a :class:`DispatchRecord` (who held the device, when,
     for whom) that :meth:`recent_dispatches` exposes to the forensic
@@ -399,9 +408,15 @@ class DeviceQueue:
         # device so deficits never leak across devices
         self.scheduler = scheduler.clone() if scheduler.per_device else scheduler
         self._pending: list[IoRequest] = []
+        #: the pending requests by tenant, under a tenant-aware elevator
+        self._by_tenant: dict | None = (
+            {} if self.scheduler.tenant_aware else None)
         self._entries: dict[object, tuple] = {}
         self._seq = 0
         self._busy = False
+        #: True while :meth:`_dispatch`'s loop runs (callbacks that
+        #: submit leave the next start to it)
+        self._dispatching = False
         self._inflight_finish = 0.0
         #: monotonic counter over queue-state changes (submit/complete)
         self.congestion_epoch = 0
@@ -450,6 +465,8 @@ class DeviceQueue:
                             tag=tag, tenant=tenant)
         self._entries[tag] = (future, submit_time, service, kind, label)
         self._pending.append(request)
+        if self._by_tenant is not None:
+            self._by_tenant.setdefault(tenant, []).append(request)
         self.congestion_epoch += 1
         self.depth_high_water = max(self.depth_high_water, self.depth)
         if self.on_queued is not None:
@@ -474,6 +491,10 @@ class DeviceQueue:
             return False
         del self._entries[tag]
         self._pending = [r for r in self._pending if r.tag != tag]
+        if self._by_tenant is not None:
+            # rebuilt, not patched: a bucket whose first request left
+            # must move behind buckets that now start earlier
+            self._by_tenant = by_tenant(self._pending)
         self.congestion_epoch += 1
         future.resolve(None)
         return True
@@ -490,18 +511,16 @@ class DeviceQueue:
         """
         delay = max(0.0, self._inflight_finish - now) if self._busy else 0.0
         spec = self.device.spec
-        if tenant is None or not self.scheduler.tenant_aware:
+        buckets = self._by_tenant
+        if tenant is None or buckets is None:
             for request in self._pending:
                 delay += spec.latency + request.nbytes / spec.bandwidth
             return delay
         quantum = getattr(self.scheduler, "quantum_bytes", 256 * 1024)
-        others: set[str | None] = set()
-        for request in self._pending:
-            if request.tenant == tenant:
-                delay += spec.latency + request.nbytes / spec.bandwidth
-            else:
-                others.add(request.tenant)
-        delay += len(others) * (spec.latency + quantum / spec.bandwidth)
+        for request in buckets.get(tenant, ()):
+            delay += spec.latency + request.nbytes / spec.bandwidth
+        others = len(buckets) - (tenant in buckets)
+        delay += others * (spec.latency + quantum / spec.bandwidth)
         return delay
 
     def recent_dispatches(self) -> tuple[DispatchRecord, ...]:
@@ -511,56 +530,76 @@ class DeviceQueue:
         return tuple(self._history)
 
     def _dispatch(self) -> None:
+        """Start requests while any is pending and none is in service.
+
+        A request whose service raises fails its own future and the loop
+        starts the next one, so a run of failures never recurses.  A
+        done-callback that submits while the loop runs only queues its
+        request; the loop starts it (or whatever the elevator prefers)
+        next, so at most one request is ever in service."""
         from repro.devices.base import Completion
 
-        request = self.scheduler.take_next(
-            self._pending, self.device.head_position())
-        future, submit_time, service, kind, label = \
-            self._entries.pop(request.tag)
-        now = self.loop.clock.now
-        wait = now - submit_time
-        self.total_queue_wait += wait
-        if wait > 0.0:
-            self.device.stats.queue_wait_time += wait
-            self.device.stats.queued_requests += 1
-        try:
-            if service is not None:
-                duration = service()
-                completion = Completion.new(
-                    device_name=self.device.name, addr=request.addr,
-                    nbytes=request.nbytes, is_write=request.is_write,
-                    submit_time=submit_time, start_time=now,
-                    duration=duration)
-            else:
-                # freshly built and solely owned: backdate in place rather
-                # than allocating a copy
-                completion = self.device.submit(request.addr, request.nbytes,
-                                                request.is_write, now=now)
-                completion.submit_time = submit_time
-        except Exception as exc:
-            # a failed request must not wedge the queue: report it to the
-            # waiter and keep servicing (real controllers do the same)
-            self.congestion_epoch += 1
-            future.fail(exc)
-            if self._pending:
-                self._dispatch()
+        if self._dispatching:
             return
-        self._busy = True
-        self._inflight_finish = completion.finish_time
-        self.dispatched += 1
-        if self._history.maxlen:
-            if len(self._history) == self._history.maxlen:
-                self.history_dropped += 1
-            self._history.append(DispatchRecord(
-                rid=request.tag, kind=kind, label=label,
-                tenant=request.tenant, is_write=request.is_write,
-                nbytes=request.nbytes, submit_time=submit_time,
-                start=now, finish=completion.finish_time))
-        if self.on_dispatched is not None:
-            self.on_dispatched(wait, self.depth)
-        self.loop.at(completion.finish_time,
-                     lambda: self._complete(future, completion),
-                     category=self.device.time_category)
+        self._dispatching = True
+        try:
+            while self._pending and not self._busy:
+                head = self.device.head_position()
+                if self._by_tenant is None:
+                    request = self.scheduler.take_next(self._pending, head)
+                else:
+                    request = self.scheduler.take_indexed(self._by_tenant,
+                                                          head)
+                    self._pending.remove(request)
+                future, submit_time, service, kind, label = \
+                    self._entries.pop(request.tag)
+                now = self.loop.clock.now
+                wait = now - submit_time
+                self.total_queue_wait += wait
+                if wait > 0.0:
+                    self.device.stats.queue_wait_time += wait
+                    self.device.stats.queued_requests += 1
+                try:
+                    if service is not None:
+                        duration = service()
+                        completion = Completion.new(
+                            device_name=self.device.name, addr=request.addr,
+                            nbytes=request.nbytes, is_write=request.is_write,
+                            submit_time=submit_time, start_time=now,
+                            duration=duration)
+                    else:
+                        # freshly built and solely owned: backdate in place
+                        # rather than allocating a copy
+                        completion = self.device.submit(
+                            request.addr, request.nbytes, request.is_write,
+                            now=now)
+                        completion.submit_time = submit_time
+                except Exception as exc:
+                    # a failed request must not wedge the queue: report it to
+                    # the waiter and keep servicing (real controllers do the
+                    # same)
+                    self.congestion_epoch += 1
+                    future.fail(exc)
+                    continue
+                self._busy = True
+                self._inflight_finish = completion.finish_time
+                self.dispatched += 1
+                if self._history.maxlen:
+                    if len(self._history) == self._history.maxlen:
+                        self.history_dropped += 1
+                    self._history.append(DispatchRecord(
+                        rid=request.tag, kind=kind, label=label,
+                        tenant=request.tenant, is_write=request.is_write,
+                        nbytes=request.nbytes, submit_time=submit_time,
+                        start=now, finish=completion.finish_time))
+                if self.on_dispatched is not None:
+                    self.on_dispatched(wait, self.depth)
+                self.loop.at(completion.finish_time,
+                             lambda future=future, completion=completion:
+                             self._complete(future, completion),
+                             category=self.device.time_category)
+        finally:
+            self._dispatching = False
 
     def _complete(self, future, completion) -> None:
         self._busy = False

@@ -437,42 +437,57 @@ class PageCache:
             profiler.add("cache.residency", t0)
         return evicted
 
-    def insert_run(self, inode_id: int, start: int, n: int) -> int | None:
-        """Batched :meth:`insert` of the ``n`` pages ``[start, start+n)``
-        of one inode — the kernel's fault pipeline calls this with each
-        cluster it has just read, *all guaranteed non-resident*.
+    def insert_run(self, inode_id: int, start: int, n: int,
+                   tenant: str | None = None, on_insert=None) -> None:
+        """:meth:`insert` of the ``n`` pages ``[start, start+n)`` of one
+        inode, in page order, as one call — the kernel completes each
+        span of fault clusters it has read with this.
 
-        Returns the number of evictions performed, or ``None`` (with no
-        state touched) when the batch is not provably equivalent to ``n``
-        scalar inserts — sharding, tenants, pins, an observer, a
-        non-LRU policy, or a run larger than the shard.  The caller must
-        then fall back to per-page :meth:`insert` calls.
+        Every page takes :meth:`insert`'s steps in :meth:`insert`'s
+        order: a resident page refreshes its recency; a new one first
+        makes room under ``tenant``'s hard cap, then in its full shard,
+        then becomes resident, owned by ``tenant`` and observed, and
+        counts toward the next rebalance.  ``on_insert(key)``, when
+        given, runs after each page's steps.  Evictions, their owners,
+        victim choices, rebalance points and hook calls therefore match
+        ``n`` :meth:`insert` calls exactly.
 
-        Equivalence argument: under strict LRU with no pins, scalar
-        interleaving evicts ``max(0, count + n - capacity)`` victims from
-        the *front* of the recency order while appending the new keys at
-        the back; with ``n <= capacity`` every victim predates the batch,
-        so evicting them all first and then appending the run reaches the
-        identical final order, residency, index, and generation values.
+        An untenanted run of new pages into a one-shard LRU cache with no
+        pins, limits or observer takes a shortcut: scalar interleaving
+        evicts ``max(0, count + n - capacity)`` victims from the *front*
+        of the recency order while appending the new keys at the back;
+        with ``n <= capacity`` every victim predates the run, so evicting
+        them all first and then appending the run reaches the identical
+        final order, residency, index, and generation values.
         """
-        if (self._nshards != 1 or self._pinned or self.observer is not None
-                or self._tenant_limits or self._page_tenant):
-            return None
-        shard = self._shards[0]
+        if n == 1:
+            # a one-page run is one insert
+            key = (inode_id, start)
+            self.insert(key, tenant)
+            if on_insert is not None:
+                on_insert(key)
+            return
+        shard = self._shards[inode_id % self._nshards]
         policy = shard.policy
-        if type(policy) is not LruPolicy or n > shard.capacity:
-            return None
         profiler = self.profiler
         t0 = profiler.begin() if profiler is not None else 0.0
+        if not (tenant is None and on_insert is None and self._nshards == 1
+                and not self._pinned and self.observer is None
+                and not self._tenant_limits and not self._page_tenant
+                and type(policy) is LruPolicy and n <= shard.capacity
+                and not self._index.any_in(inode_id, start, n)):
+            self._insert_pages(shard, inode_id, start, n, tenant, on_insert)
+            if profiler is not None:
+                profiler.add("cache.residency", t0)
+            return
         need = shard.count + n - shard.capacity
-        evictions = 0
         generations = self._generations
         if need > 0:
             resident = self._resident
             index = self._index
             # group consecutive same-inode victims into index run-discards
             run_inode = run_start = run_len = None
-            while evictions < need:
+            for _ in range(need):
                 victim = policy.choose_victim()
                 resident.discard(victim)
                 vin, vpage = victim
@@ -484,15 +499,14 @@ class PageCache:
                         generations[run_inode] = (
                             generations.get(run_inode, 0) + run_len)
                     run_inode, run_start, run_len = vin, vpage, 1
-                evictions += 1
             index.discard_run(run_inode, run_start, run_len)
             generations[run_inode] = generations.get(run_inode, 0) + run_len
             shard.count -= need
             self.stats.evictions += need
             if self.eviction_sink is not None:
                 self.eviction_sink.note_evictions(need, None)
-        self._resident.update((inode_id, page)
-                              for page in range(start, start + n))
+        self._resident.update([(inode_id, page)
+                               for page in range(start, start + n)])
         self._index.add_run(inode_id, start, n)
         generations[inode_id] = generations.get(inode_id, 0) + n
         policy.on_insert_run(inode_id, start, n)
@@ -500,7 +514,53 @@ class PageCache:
         self.stats.insertions += n
         if profiler is not None:
             profiler.add("cache.residency", t0)
-        return evictions
+
+    def _insert_pages(self, shard: _Shard, inode_id: int, start: int,
+                      n: int, tenant: str | None, on_insert) -> None:
+        """:meth:`insert_run`'s general case: :meth:`insert`'s steps,
+        page by page, with the shard and the tenant's cap looked up once
+        and the inode's generation bumped once."""
+        policy = shard.policy
+        resident = self._resident
+        index_add = self._index.add
+        observer = self.observer
+        tenant_pages = self._tenant_pages
+        limit = (self._tenant_limits.get(tenant)
+                 if tenant is not None else None)
+        hard = limit.hard_pages if limit is not None else None
+        sharded = self._nshards > 1
+        fresh = 0
+        for page in range(start, start + n):
+            key = (inode_id, page)
+            if key in resident:
+                policy.on_hit(key)
+            else:
+                if hard is not None:
+                    pages = tenant_pages.get(tenant)
+                    if pages is not None and len(pages) >= hard:
+                        self._enforce_hard_cap(tenant)
+                if shard.count >= shard.capacity:
+                    self._evict_one(shard)
+                resident.add(key)
+                index_add(inode_id, page)
+                policy.on_insert(key)
+                shard.count += 1
+                fresh += 1
+                if tenant is not None:
+                    self._tenant_track(key, tenant)
+                if observer is not None:
+                    observer.on_cache_insert(key)
+                if sharded:
+                    shard.recent_insertions += 1
+                    self._inserts_since_rebalance += 1
+                    if self._inserts_since_rebalance >= self.rebalance_every:
+                        self._rebalance()
+            if on_insert is not None:
+                on_insert(key)
+        if fresh:
+            self.stats.insertions += fresh
+            self._generations[inode_id] = (
+                self._generations.get(inode_id, 0) + fresh)
 
     def _evict_one(self, shard: _Shard) -> PageKey:
         if self._tenant_limits:

@@ -90,6 +90,14 @@ class RunResidency:
         else:
             bounds[i:i] = (start, end)
 
+    def any_in(self, inode_id: int, start: int, n: int) -> bool:
+        """Whether any page of ``[start, start+n)`` is resident."""
+        bounds = self._bounds.get(inode_id)
+        if bounds is None:
+            return False
+        i = bisect_right(bounds, start)
+        return bool(i & 1) or (i < len(bounds) and bounds[i] < start + n)
+
     def discard_run(self, inode_id: int, start: int, n: int) -> None:
         """Mark the contiguous run ``[start, start+n)`` non-resident
         (caller guarantees all of it was).

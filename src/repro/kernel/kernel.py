@@ -510,17 +510,14 @@ class Kernel:
         ``fs.read_pages`` call through the noise model or, for runs of
         one-page clusters no per-fault hook watches, ``Device.read_run`` +
         ``advance_run`` (:meth:`_fault_run`).  *Complete* by cluster:
-        ``insert_run``, or per-page inserts where the cache declines.
+        one ``insert_run``.
 
         Virtual outcomes, every hook's calls and the counters each call
         sees equal the per-page loop's in ``tests/oracles/kernel.py``.
         """
         inode_id = of.inode.id
         cache = self.page_cache
-        counters = self.counters
         telemetry = self.telemetry
-        prefetcher = self.prefetcher
-        tenant = self.current_tenant
         readahead = of.readahead if use_readahead else None
         resident = cache._resident
         profiler = self.profiler
@@ -536,21 +533,7 @@ class Kernel:
         while page < end:
             stop = page + 1
             if (inode_id, page) in resident:
-                while stop < end and (inode_id, stop) in resident:
-                    stop += 1
-                n = stop - page
-                if readahead is not None:
-                    readahead.advise_run(page, n)
-                cache.hit_run(inode_id, page, n)
-                counters.cache_hits += n
-                if tenant is not None:
-                    counters.note_tenant_hit(tenant, n)
-                if prefetcher is not None or telemetry is not None:
-                    for hit in range(page, stop):
-                        if prefetcher is not None:
-                            prefetcher.note_access((inode_id, hit))
-                        if telemetry is not None:
-                            telemetry.on_hit(inode_id, hit)
+                stop = self._hit_resident(inode_id, page, end, readahead)
             elif batch:
                 while stop < end and (inode_id, stop) not in resident:
                     stop += 1
@@ -564,6 +547,35 @@ class Kernel:
             page = stop
         if profiler is not None:
             profiler.add("kernel.fault_batch", t_span)
+
+    def _hit_resident(self, inode_id: int, page: int, end: int,
+                      readahead: ReadaheadWindow | None) -> int:
+        """Charge the resident run that starts at ``page`` (and ends at
+        the first non-resident page or ``end``) as cache hits, in one
+        step: :meth:`PageCache.hit_run`, :meth:`ReadaheadWindow.advise_run`
+        and the hit counters.  Returns the run's end."""
+        cache = self.page_cache
+        resident = cache._resident
+        stop = page + 1
+        while stop < end and (inode_id, stop) in resident:
+            stop += 1
+        n = stop - page
+        if readahead is not None:
+            readahead.advise_run(page, n)
+        cache.hit_run(inode_id, page, n)
+        self.counters.cache_hits += n
+        tenant = self.current_tenant
+        if tenant is not None:
+            self.counters.note_tenant_hit(tenant, n)
+        prefetcher = self.prefetcher
+        telemetry = self.telemetry
+        if prefetcher is not None or telemetry is not None:
+            for hit in range(page, stop):
+                if prefetcher is not None:
+                    prefetcher.note_access((inode_id, hit))
+                if telemetry is not None:
+                    telemetry.on_hit(inode_id, hit)
+        return stop
 
     def _fault_cluster(self, of: OpenFile, page: int, window: int) -> None:
         """Fault at non-resident ``page``: read a cluster of up to
@@ -604,7 +616,7 @@ class Kernel:
                 fs.device, inode_id, page, cluster, seconds,
                 now=clock.now, window=window, fs=fs,
                 components=component_delta(before))
-        self._insert_cluster(inode_id, page, cluster, tenant)
+        self._insert_clusters(inode_id, ((page, cluster, window),), tenant)
 
     def _fault_run(self, of: OpenFile, start: int, n: int) -> None:
         """Fault ``n`` consecutive non-resident pages from ``start`` as
@@ -633,21 +645,32 @@ class Kernel:
             counters.pages_read += pages
             if tenant is not None:
                 counters.note_tenant_miss(tenant, pages)
-            self._insert_cluster(inode.id, file_page, pages, tenant)
+            cache.insert_run(inode.id, file_page, pages, tenant)
 
-    def _insert_cluster(self, inode_id: int, page: int, n: int,
-                        tenant: str | None) -> None:
-        """Make a just-read cluster resident; pages after its first are
-        readahead to telemetry."""
-        cache = self.page_cache
+    def _insert_clusters(self, inode_id: int, clusters,
+                         tenant: str | None) -> None:
+        """Make just-read ``(page, n, window)`` clusters of one inode
+        resident, in order, with one ``insert_run`` per contiguous span
+        of them; pages after each cluster's first are readahead to
+        telemetry."""
         telemetry = self.telemetry
-        if (tenant is None and telemetry is None
-                and cache.insert_run(inode_id, page, n) is not None):
-            return
-        for extra in range(page, page + n):
-            cache.insert((inode_id, extra), tenant)
-            if telemetry is not None and extra != page:
-                telemetry.on_readahead_insert((inode_id, extra))
+        mark = None
+        if telemetry is not None and any(n > 1 for _, n, _ in clusters):
+            heads = {page for page, _, _ in clusters}
+
+            def mark(key) -> None:
+                if key[1] not in heads:
+                    telemetry.on_readahead_insert(key)
+
+        insert_run = self.page_cache.insert_run
+        start = end = None
+        for page, n, _ in clusters:
+            if page != end:
+                if start is not None:
+                    insert_run(inode_id, start, end - start, tenant, mark)
+                start = page
+            end = page + n
+        insert_run(inode_id, start, end - start, tenant, mark)
 
     # -- the event-driven read path ------------------------------------
 
@@ -696,115 +719,53 @@ class Kernel:
 
     def _fault_in_async(self, of: OpenFile, offset: int, length: int,
                         use_readahead: bool = True):
-        """The submit/wait split of :meth:`_fault_in`.
+        """The engine's fault path: :meth:`_fault_in`'s run planner with
+        a submit/wait split.
 
-        Miss handling becomes two halves: *submit* the fault cluster to
-        the engine's device queue (counters charged here, in the faulting
-        task's slice), then ``yield`` the future — the scheduler parks the
-        task until the device completion event fires — and finish with the
-        cache inserts.  Cluster discovery runs at submit time, so pages a
-        concurrent task faulted meanwhile are re-checked on resume only
-        via the cache insert (double-fetch of a racing page costs device
-        time, as it does on real hardware).
+        *Plan* by runs, as the blocking pipeline does: a resident run is
+        charged in one step (:meth:`_hit_resident`); a miss is counted
+        and opens a cluster of up to the readahead window, ending at the
+        first resident page.  *Submit* each cluster to the engine as one
+        fault request and park on its future.  *Complete* with
+        :meth:`_complete_runs`.
+
+        The two engine configurations differ only in when the task
+        parks.  Straight to the device queues (no block front), it parks
+        after each cluster and plans on from the page after its first,
+        so the cluster's other pages are looked up again once resident.
+        Through an active merge/plug front, it plans the whole span
+        first, submits every cluster in one call — they meet in the plug,
+        where adjacent ones coalesce into one device request — and parks
+        once; the pages a cluster covers then count as cache hits (the
+        serial rule would hit them after the cluster's insert) without a
+        cache lookup.  The parking rules give different virtual outcomes
+        under concurrency, so both stay; each matches the per-page loops
+        in ``tests/oracles/kernel.py`` exactly.
         """
         engine = self.engine
         if engine is None:
             raise InvalidArgumentError(
                 "no I/O engine attached; use the blocking read path or "
                 "kernel.attach_engine()")
-        if engine.block_active:
-            yield from self._fault_in_runs(of, offset, length,
-                                           use_readahead)
-            return
+        park_per_cluster = not engine.block_active
         inode = of.inode
         inode_id = inode.id
         fs = of.fs
         cache = self.page_cache
         counters = self.counters
-        readahead = of.readahead
+        resident = cache._resident
         npages = inode.npages
         tenant = self.current_tenant
-        for page in page_span(offset, length):
-            window = readahead.advise(page) if use_readahead else 1
-            key = (inode_id, page)
-            if cache.access(key):
-                counters.cache_hits += 1
-                if tenant is not None:
-                    counters.note_tenant_hit(tenant)
-                if self.prefetcher is not None:
-                    self.prefetcher.note_access(key)
-                if self.telemetry is not None:
-                    self.telemetry.on_hit(inode_id, page)
-                continue
-            counters.cache_misses += 1
-            counters.hard_faults += 1
-            if tenant is not None:
-                counters.note_tenant_miss(tenant)
-            cluster = 1
-            limit = min(window, npages - page)
-            while (cluster < limit
-                   and not cache.peek((inode_id, page + cluster))):
-                cluster += 1
-            future = engine.submit_cluster(fs, inode, page, cluster,
-                                           tenant=tenant)
-            completion = yield future
-            seconds = completion.duration
-            counters.pages_read += cluster
-            counters.readahead_pages += cluster - 1
-            if self.tracer is not None:
-                self.tracer.emit(self.clock.now, "fault",
-                                 fs.device.time_category, seconds,
-                                 page=page, cluster=cluster,
-                                 inode=inode_id)
-            if self.telemetry is not None:
-                self.telemetry.on_fault(
-                    fs.device, inode_id, page, cluster, seconds,
-                    now=self.clock.now, window=window, fs=fs,
-                    completion=completion)
-            for extra in range(page, page + cluster):
-                cache.insert((inode_id, extra), tenant)
-                if self.telemetry is not None and extra != page:
-                    self.telemetry.on_readahead_insert((inode_id, extra))
-
-    def _fault_in_runs(self, of: OpenFile, offset: int, length: int,
-                       use_readahead: bool = True):
-        """Batched fault path for an engine with an active block front.
-
-        Instead of submit-then-park per miss, *all* miss runs of the span
-        are discovered and submitted up front — they land in the device's
-        plug together, where adjacent runs (a ``pread`` loop's 1-page
-        clusters, or a readahead window walking a file) coalesce into one
-        device request — and the task parks once on the whole set.
-
-        Accounting is kept identical to the serial path: hit/miss/fault
-        counters are charged at discovery, in span order, with the same
-        readahead advice; pages covered by an *earlier run of this same
-        span* count as cache hits, exactly as the serial path would have
-        hit them after that run's insert.
-        """
-        engine = self.engine
-        inode = of.inode
-        inode_id = inode.id
-        fs = of.fs
-        cache = self.page_cache
-        counters = self.counters
-        readahead = of.readahead
-        npages = inode.npages
-        tenant = self.current_tenant
+        readahead = of.readahead if use_readahead else None
         runs: list[tuple[int, int, int]] = []  # (page, cluster, window)
-        covered_until = -1  # end of the last planned run, exclusive
-        for page in page_span(offset, length):
-            window = readahead.advise(page) if use_readahead else 1
-            key = (inode_id, page)
-            if page < covered_until or cache.access(key):
-                counters.cache_hits += 1
-                if tenant is not None:
-                    counters.note_tenant_hit(tenant)
-                if page >= covered_until and self.prefetcher is not None:
-                    self.prefetcher.note_access(key)
-                if self.telemetry is not None:
-                    self.telemetry.on_hit(inode_id, page)
+        page = offset // PAGE_SIZE
+        end = (offset + length - 1) // PAGE_SIZE + 1
+        while page < end:
+            if (inode_id, page) in resident:
+                page = self._hit_resident(inode_id, page, end, readahead)
                 continue
+            window = readahead.advise(page) if readahead is not None else 1
+            cache.access((inode_id, page))
             counters.cache_misses += 1
             counters.hard_faults += 1
             if tenant is not None:
@@ -812,39 +773,74 @@ class Kernel:
             cluster = 1
             limit = min(window, npages - page)
             while (cluster < limit
-                   and not cache.peek((inode_id, page + cluster))):
+                   and (inode_id, page + cluster) not in resident):
                 cluster += 1
+            if park_per_cluster:
+                future = engine.submit_cluster(fs, inode, page, cluster,
+                                               tenant=tenant)
+                yield future
+                self._complete_runs(of, ((page, cluster, window),),
+                                    (future,), tenant)
+                page += 1
+                continue
             runs.append((page, cluster, window))
-            covered_until = page + cluster
-        if not runs:
-            return
-        futures = [engine.submit_cluster(fs, inode, page, cluster,
-                                         tenant=tenant)
-                   for page, cluster, _ in runs]
-        yield futures
-        # completion walk: hoist per-run attribute loads — nothing in the
-        # loop yields, so clock/telemetry/tracer are loop invariants
-        tracer = self.tracer
-        telemetry = self.telemetry
+            stop = min(page + cluster, end)
+            covered = stop - page - 1
+            if covered:
+                if readahead is not None:
+                    readahead.advise_run(page + 1, covered)
+                counters.cache_hits += covered
+                if tenant is not None:
+                    counters.note_tenant_hit(tenant, covered)
+                telemetry = self.telemetry
+                if telemetry is not None:
+                    for hit in range(page + 1, stop):
+                        telemetry.on_hit(inode_id, hit)
+            page = stop
+        if runs:
+            futures = engine.plug_for(fs.device).submit(
+                fs, inode, [(page, cluster) for page, cluster, _ in runs],
+                tenant=tenant)
+            yield futures
+            self._complete_runs(of, runs, futures, tenant)
+
+    def _complete_runs(self, of: OpenFile, runs, futures,
+                       tenant: str | None) -> None:
+        """Finish serviced ``(page, cluster, window)`` runs whose
+        ``futures`` resolved: per run, in order, the read counters, the
+        tracer event and telemetry's ``on_fault``; then the inserts, one
+        ``insert_run`` per contiguous span.
+
+        ``on_fault`` reads nothing the inserts change, except that its
+        time-series tick samples the counters; every tick after the
+        first at one virtual time is a no-op, and the first sees the
+        counters and cache the per-run interleaving would have shown it.
+        Without a time series, the fan-out waits in a
+        :class:`~repro.obs.telemetry.TelemetryBatch` until the inserts
+        are done.
+        """
+        inode_id = of.inode.id
+        fs = of.fs
         device = fs.device
         category = device.time_category
+        counters = self.counters
+        tracer = self.tracer
+        telemetry = self.telemetry
         now = self.clock.now
         tele_batch = None
-        if telemetry is not None and device_batch.enabled():
-            # defer on_fault fan-in to one flush per batch; a ticking
-            # time-series sampler must observe the exact scalar
-            # interleaving with cache-counter updates, so it opts out
-            if telemetry.timeseries is None:
-                tele_batch = self._telemetry_batch
-                if tele_batch is None or tele_batch.telemetry is not telemetry:
-                    from repro.obs.telemetry import TelemetryBatch
-                    tele_batch = self._telemetry_batch = (
-                        TelemetryBatch(telemetry))
+        if (telemetry is not None and telemetry.timeseries is None
+                and device_batch.enabled()):
+            tele_batch = self._telemetry_batch
+            if tele_batch is None or tele_batch.telemetry is not telemetry:
+                from repro.obs.telemetry import TelemetryBatch
+                tele_batch = self._telemetry_batch = TelemetryBatch(telemetry)
         for (page, cluster, window), future in zip(runs, futures):
-            completion = future.value
-            seconds = completion.duration
             counters.pages_read += cluster
             counters.readahead_pages += cluster - 1
+            if tracer is None and telemetry is None:
+                continue
+            completion = future.value
+            seconds = completion.duration
             if tracer is not None:
                 tracer.emit(now, "fault", category, seconds,
                             page=page, cluster=cluster, inode=inode_id)
@@ -854,12 +850,8 @@ class Kernel:
             elif telemetry is not None:
                 telemetry.on_fault(
                     device, inode_id, page, cluster, seconds,
-                    now=now, window=window, fs=fs,
-                    completion=completion)
-            for extra in range(page, page + cluster):
-                cache.insert((inode_id, extra), tenant)
-                if telemetry is not None and extra != page:
-                    telemetry.on_readahead_insert((inode_id, extra))
+                    now=now, window=window, fs=fs, completion=completion)
+        self._insert_clusters(inode_id, runs, tenant)
         if tele_batch is not None:
             profiler = self.profiler
             t0 = profiler.begin() if profiler is not None else 0.0

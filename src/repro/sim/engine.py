@@ -143,18 +143,20 @@ class IoEngine:
         at dispatch time (noise applied as the synchronous path would).
 
         With an active block config, the cluster goes through the
-        device's merge/plug stage instead of straight to the elevator.
-        ``tenant`` defaults to the kernel's current tenant; callers that
-        submit on another task's behalf (the prefetcher, whose pump runs
-        in completion callbacks) pass the owning tenant explicitly.
-        ``speculative`` marks prefetcher-issued clusters in the dispatch
-        history so blame attribution can name prefetch interference."""
+        device's merge/plug stage instead of straight to the elevator
+        (the kernel hands a plug a whole span's clusters at once, with
+        :meth:`PlugQueue.submit`).  ``tenant`` defaults to the kernel's
+        current tenant; callers that submit on another task's behalf
+        (the prefetcher, whose pump runs in completion callbacks) pass
+        the owning tenant explicitly.  ``speculative`` marks
+        prefetcher-issued clusters in the dispatch history so blame
+        attribution can name prefetch interference."""
         if tenant is IoEngine._CURRENT_TENANT:
             tenant = getattr(self.kernel, "current_tenant", None)
         if self.block_active:
-            return self.plug_for(fs.device).submit(fs, inode, page, cluster,
-                                                   tenant=tenant,
-                                                   speculative=speculative)
+            return self.plug_for(fs.device).submit(
+                fs, inode, ((page, cluster),), tenant=tenant,
+                speculative=speculative)[0]
         addr = inode.extent_map.addr_of(page)
         service = self._fault_service(fs, inode, page, cluster, False)
         return self.queue_for(fs.device).submit(

@@ -36,6 +36,10 @@ class SetResidency:
         self._by_inode.setdefault(inode_id, set()).update(
             range(start, start + n))
 
+    def any_in(self, inode_id: int, start: int, n: int) -> bool:
+        pages = self._by_inode.get(inode_id, ())
+        return any(page in pages for page in range(start, start + n))
+
     def discard_run(self, inode_id: int, start: int, n: int) -> None:
         pages = self._by_inode.get(inode_id)
         if pages is not None:

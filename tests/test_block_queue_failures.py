@@ -62,6 +62,85 @@ class TestMidBatchFailures:
         assert futures[3].value.duration > 0.0
         assert queue.depth == 0
 
+    def test_long_failure_run_does_not_recurse(self):
+        """1,500 reads queued behind one in service, 1,499 of them
+        failing: the queue works through the failures in a loop, so the
+        completion event neither overflows the stack nor strands a
+        future."""
+        queue, loop = _queue("fcfs")
+        first = queue.submit(0, PAGE_SIZE, is_write=False)
+        queue.device.inject_failures(1499)
+        futures = [queue.submit((i + 1) * PAGE_SIZE, PAGE_SIZE,
+                                is_write=False) for i in range(1500)]
+        loop.run_until_idle()
+        assert first.value.duration > 0.0
+        assert all(f.exception is not None for f in futures[:1499])
+        assert futures[-1].value.duration > 0.0
+        assert queue.depth == 0
+
+    def test_resubmit_from_failure_callback_keeps_one_in_service(self):
+        """A failed request's done-callback that submits again (as the
+        prefetcher's re-pump does) must not put a second request in
+        service next to the one its submission started."""
+        queue, loop = _queue("fcfs")
+        in_flight = [0]
+        most = [0]
+
+        def dispatched(wait, depth):
+            in_flight[0] += 1
+            most[0] = max(most[0], in_flight[0])
+
+        def completed(depth):
+            in_flight[0] -= 1
+
+        queue.on_dispatched = dispatched
+        queue.on_completed = completed
+        first = queue.submit(0, PAGE_SIZE, is_write=False)
+        queue.device.inject_failures(1)
+        bad = queue.submit(8 * PAGE_SIZE, PAGE_SIZE, is_write=False)
+        queued = queue.submit(16 * PAGE_SIZE, PAGE_SIZE, is_write=False)
+        retried = []
+        bad.add_done_callback(lambda f: retried.append(
+            queue.submit(24 * PAGE_SIZE, PAGE_SIZE, is_write=False)))
+        loop.run_until_idle()
+        assert bad.exception is not None
+        assert first.value.duration > 0.0
+        assert queued.value.duration > 0.0
+        assert retried[0].value.duration > 0.0
+        assert most[0] == 1
+        # the dispatch history shows one service interval at a time
+        records = queue.recent_dispatches()
+        assert len(records) == 3
+        for before, after in zip(records, records[1:]):
+            assert after.start >= before.finish
+
+    def test_resubmitting_failure_callbacks_do_not_recurse(self):
+        """1,500 failures in a row, each failed request's callback
+        submitting the next one: the dispatch loop starts each
+        resubmission itself instead of nesting a dispatch per failure."""
+        queue, loop = _queue("fcfs")
+        first = queue.submit(0, PAGE_SIZE, is_write=False)
+        queue.device.inject_failures(1500)
+        futures = []
+
+        def resubmit(future):
+            if len(futures) < 1501:
+                submit(len(futures) + 1)
+
+        def submit(block):
+            future = queue.submit(block * PAGE_SIZE, PAGE_SIZE,
+                                  is_write=False)
+            futures.append(future)
+            future.add_done_callback(resubmit)
+
+        submit(1)
+        loop.run_until_idle()
+        assert first.value.duration > 0.0
+        assert len(futures) == 1501
+        assert all(f.exception is not None for f in futures[:1500])
+        assert futures[-1].value.duration > 0.0
+        assert queue.depth == 0
+
     def test_queue_usable_after_failures(self):
         queue, loop = _queue()
         queue.device.inject_failures(1)

@@ -1,17 +1,23 @@
-"""Property tests: the indexed selectors agree with the scans they replaced.
-
-Two hot-path selectors answer from an index instead of a rescan:
+"""Property tests: the indexed and batched hot paths agree with the
+per-item code they replaced.
 
 * :meth:`PageCache._soft_victim` takes the first unpinned key of the
   evicting shard's per-tenant bucket, where the reference
   (:class:`tests.oracles.cache.LinearSoftVictimCache`) scans every page
   the tenant owns and filters by shard;
+* :meth:`PageCache.insert_run` inserts a run of one inode's pages in one
+  call, where the reference is one :meth:`PageCache.insert` per page;
 * :meth:`FairScheduler.take_next` buckets ``pending`` by tenant in one
   pass, where the reference
   (:class:`tests.oracles.scheduler.MultiPassFairScheduler`) rescans the
-  list on every ring visit.
+  list on every ring visit;
+* a :class:`DeviceQueue` keeps its pending requests bucketed by tenant
+  for the fair elevator, where the reference
+  (:class:`tests.oracles.scheduler.ScanningDeviceQueue`) hands the
+  multi-pass elevator its whole pending list and scans it for delay
+  estimates.
 
-Each test drives the production class and its oracle through the same
+Each test drives the production code and its oracle through the same
 random program and compares their whole observable state after every
 step.  The tests set no ``max_examples``, so a hypothesis profile
 (``--hypothesis-profile=oracle``, see ``conftest.py``) sets their budget.
@@ -24,11 +30,18 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.block.scheduler import FairScheduler, IoRequest
+import numpy as np
+
+from repro.block.scheduler import (DeviceQueue, FairScheduler, IoRequest,
+                                   by_tenant)
 from repro.cache import PageCache, TenantMemoryLimit
+from repro.devices.disk import DiskDevice
+from repro.sim.clock import VirtualClock
+from repro.sim.events import EventLoop
 from repro.sim.units import PAGE_SIZE
 from tests.oracles.cache import LinearSoftVictimCache
-from tests.oracles.scheduler import MultiPassFairScheduler
+from tests.oracles.scheduler import (MultiPassFairScheduler,
+                                     ScanningDeviceQueue)
 
 TENANTS = (None, "a", "b", "c")
 
@@ -140,6 +153,121 @@ def test_indexed_soft_victim_matches_linear_scan(program):
                        if owner is not None) == cache.stats.tenant_evictions
 
 
+class _CallLog:
+    """A cache observer (or ``on_insert`` hook) that logs every call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        if not name.startswith("on_"):
+            raise AttributeError(name)
+        return lambda *args, **kwargs: self.calls.append(
+            (name, args, sorted(kwargs.items())))
+
+    def __call__(self, key):
+        self.calls.append(("on_insert", key))
+
+
+#: op kinds: runs weighted up, plus the ops that shape what a run meets
+_RUN_OPS = (("insert_run",) * 8 + ("insert",) * 3 + ("access",) * 2
+            + ("pin",) * 4 + ("unpin", "invalidate", "invalidate_inode"))
+
+
+@st.composite
+def _run_programs(draw):
+    config, _ = draw(_cache_programs())
+    # (kind, (inode, page), tenant, run length)
+    op = st.tuples(st.sampled_from(_RUN_OPS),
+                   st.tuples(st.integers(0, 5), st.integers(0, 7)),
+                   st.sampled_from(TENANTS), st.integers(1, 9))
+    return (config, draw(st.booleans()),
+            draw(st.lists(op, min_size=20, max_size=100)))
+
+
+def _apply_run(cache: PageCache, op: tuple, batched: bool):
+    kind, (inode, page), tenant, n = op
+    if kind != "insert_run":
+        return _apply(cache, (kind, (inode, page), tenant))
+    hook = cache.run_hook
+    if batched:
+        return cache.insert_run(inode, page, n, tenant, hook)
+    for key in range(page, page + n):
+        cache.insert((inode, key), tenant)
+        hook((inode, key))
+    return None
+
+
+def _run_caches(config, observed):
+    caches = []
+    for _ in range(2):
+        cache = PageCache(**config)
+        cache.eviction_sink = _EvictionLog()
+        cache.run_hook = _CallLog()
+        if observed:
+            cache.observer = _CallLog()
+        caches.append(cache)
+    return caches
+
+
+def _assert_same_caches(cache, reference, where):
+    assert _cache_state(cache) == _cache_state(reference), where
+    assert cache.run_hook.calls == reference.run_hook.calls, where
+    if cache.observer is not None:
+        assert cache.observer.calls == reference.observer.calls, where
+    _check_reclaim_index(cache)
+
+
+@settings(deadline=None)
+@given(program=_run_programs())
+def test_insert_run_matches_per_page_inserts(program):
+    """Tenants, shards, soft and hard limits, pins, an observer, three
+    policies, runs that straddle a rebalance, runs over resident keys and
+    runs longer than their shard: a run inserts, evicts (same victims,
+    same owners, same order), observes and rebalances as its pages would
+    one by one."""
+    config, observed, ops = program
+    cache, reference = _run_caches(config, observed)
+    for step, op in enumerate(ops):
+        got = _apply_run(cache, op, batched=True)
+        want = _apply_run(reference, op, batched=False)
+        if op[0] != "insert_run":
+            assert got == want, f"step {step} {op}: {got} != {want}"
+        _assert_same_caches(cache, reference,
+                            f"state diverged after step {step} {op}")
+
+
+def test_insert_run_with_every_page_of_a_capped_tenant_pinned():
+    """A tenant at its hard cap whose pages are all pinned cannot
+    self-evict, so the run's first page takes it over the cap; from then
+    on each page evicts the run's previous one, exactly as per-page
+    inserts do."""
+    config = dict(capacity_pages=6, policy="lru", shards=1,
+                  tenant_limits={"a": TenantMemoryLimit(hard_pages=2)},
+                  max_pinned_fraction=1.0)
+    cache, reference = _run_caches(config, observed=True)
+    for target in (cache, reference):
+        for page in range(2):
+            target.insert((0, page), "a")
+            assert target.pin((0, page))
+        target.insert((1, 0), "b")
+    _apply_run(cache, ("insert_run", (2, 0), "a", 5), batched=True)
+    _apply_run(reference, ("insert_run", (2, 0), "a", 5), batched=False)
+    _assert_same_caches(cache, reference, "after the run")
+    assert cache.stats.tenant_hard_evictions == 4
+    assert cache.tenant_resident_count("a") == 3
+
+
+def test_insert_run_straddling_a_rebalance():
+    config = dict(capacity_pages=8, policy="2q", shards=4,
+                  rebalance_every=3)
+    cache, reference = _run_caches(config, observed=False)
+    _apply_run(cache, ("insert_run", (1, 0), "a", 7), batched=True)
+    _apply_run(reference, ("insert_run", (1, 0), "a", 7), batched=False)
+    _assert_same_caches(cache, reference, "after the run")
+    assert cache.stats.rebalances == 2
+
+
 # -- the fair elevator ---------------------------------------------------------
 
 _request = st.tuples(st.sampled_from(TENANTS), st.integers(0, 4095),
@@ -195,3 +323,119 @@ def test_bucketed_drr_matches_multi_pass(program):
                                                 for r in oracle_pending]
             assert _drr_state(fair) == _drr_state(oracle)
             head = got.end
+
+
+# -- the fair elevator inside its device queue ---------------------------------
+
+@st.composite
+def _queue_programs(draw):
+    inner = draw(st.sampled_from(("clook", "sstf", "fcfs")))
+    quantum = draw(st.sampled_from((4 * 1024, 64 * 1024, 256 * 1024)))
+    # (tenant, block, pages, fails, resubmits on failure)
+    request = st.tuples(st.sampled_from(TENANTS), st.integers(0, 4095),
+                        st.integers(1, 96), st.booleans(), st.booleans())
+    step = st.one_of(
+        st.tuples(st.just("submit"), st.lists(request, min_size=1,
+                                              max_size=6)),
+        st.tuples(st.just("cancel"), st.integers(0, 1000)),
+        st.tuples(st.just("fail_next"), st.integers(1, 3)),
+        st.tuples(st.just("step"), st.integers(1, 4)),
+        st.just(("drain",)),
+    )
+    return inner, quantum, draw(st.lists(step, max_size=40))
+
+
+class _QueueSide:
+    """One device queue and the futures submitted to it."""
+
+    def __init__(self, queue_type, scheduler):
+        disk = DiskDevice(rng=np.random.default_rng(5))
+        self.loop = EventLoop(VirtualClock())
+        self.queue = queue_type(disk, self.loop, scheduler)
+        self.futures = []
+
+    def submit(self, tenant, block, pages, fails, resubmit):
+        def boom():
+            raise RuntimeError("service failed")
+
+        future = self.queue.submit(
+            block * PAGE_SIZE, pages * PAGE_SIZE, is_write=False,
+            service=boom if fails else None, label=f"{tenant}:{block}",
+            tenant=tenant)
+        if resubmit:
+            # a failed request's waiter submits again from its callback,
+            # as the prefetcher's re-pump does
+            future.add_done_callback(
+                lambda f: f.exception is not None and self.submit(
+                    tenant, block + 1, pages, False, False))
+        self.futures.append(future)
+
+    def state(self):
+        queue = self.queue
+        return (
+            [(r.rid, r.label, r.tenant, r.nbytes, r.start, r.finish)
+             for r in queue.recent_dispatches()],
+            [future.done for future in self.futures],
+            _drr_state(queue.scheduler),
+            queue.depth, queue.congestion_epoch, queue.dispatched,
+            self.loop.clock.now,
+            [queue.estimated_delay(self.loop.clock.now, tenant)
+             for tenant in TENANTS + ("z",)],
+        )
+
+
+@settings(deadline=None)
+@given(program=_queue_programs())
+def test_indexed_queue_matches_scanning_queue(program):
+    """Submissions, cancellations and failing services (some resubmitting
+    from their callbacks): the same dispatches, DRR state, served bytes
+    and per-tenant delay estimates, and never two requests in service."""
+    inner, quantum, steps = program
+    fair = _QueueSide(DeviceQueue, FairScheduler(inner=inner,
+                                                   quantum_bytes=quantum))
+    oracle = _QueueSide(ScanningDeviceQueue, MultiPassFairScheduler(
+        inner=inner, quantum_bytes=quantum))
+    for step in steps:
+        for side in (fair, oracle):
+            kind = step[0]
+            if kind == "submit":
+                for request in step[1]:
+                    side.submit(*request)
+            elif kind == "cancel":
+                waiting = [f for f in side.futures if not f.done]
+                if waiting:
+                    side.queue.cancel(waiting[step[1] % len(waiting)])
+            elif kind == "fail_next":
+                side.queue.device.inject_failures(step[1])
+            elif kind == "step":
+                for _ in range(step[1]):
+                    side.loop.step()
+            elif kind == "drain":
+                side.loop.run_until_idle()
+            assert side.queue.depth <= len(side.queue._pending) + 1
+        assert fair.state() == oracle.state(), f"diverged at {step}"
+        assert fair.queue._by_tenant == by_tenant(fair.queue._pending)
+    fair.loop.run_until_idle()
+    oracle.loop.run_until_idle()
+    assert fair.state() == oracle.state()
+    assert all(fair.state()[1])
+
+
+def test_cancelling_a_tenants_first_request_reorders_its_bucket():
+    """Tenants join the DRR ring in the order of their earliest pending
+    request: after ``a``'s first request is cancelled, ``b`` (now first
+    in line) must join ahead of ``a``."""
+    sides = [_QueueSide(DeviceQueue, FairScheduler(inner="fcfs")),
+               _QueueSide(ScanningDeviceQueue,
+                            MultiPassFairScheduler(inner="fcfs"))]
+    for side in sides:
+        side.submit(None, 0, 1, False, False)  # in service
+        side.submit("a", 10, 1, False, False)
+        side.submit("b", 20, 1, False, False)
+        side.submit("a", 30, 1, False, False)
+        assert side.queue.cancel(side.futures[1])
+        side.loop.run_until_idle()
+    fair, oracle = sides
+    assert fair.state() == oracle.state()
+    assert [r.label for r in fair.queue.recent_dispatches()] == [
+        "None:0", "b:20", "a:30"]
