@@ -191,10 +191,6 @@ class ClookScheduler(IoScheduler):
         return min(pool, key=lambda r: r.addr)
 
 
-#: the DRR ring's key for untenanted requests
-_NO_TENANT = None
-
-
 def by_tenant(requests) -> dict[str | None, list[IoRequest]]:
     """``requests`` bucketed by tenant: each bucket in ``requests``
     order, buckets in order of their first request — the index
@@ -214,7 +210,8 @@ class FairScheduler(IoScheduler):
     default) is served while its accumulated deficit covers the request
     size.  Large recalls therefore cost their owner several turns instead
     of monopolising the device: the max/min per-tenant service share over
-    any backlogged interval is bounded, CFQ-style.
+    any backlogged interval is bounded, CFQ-style.  Untenanted requests
+    share one ring slot, keyed ``None``; every named tenant has its own.
 
     The scheduler is *stateful* (deficits, round-robin cursor), so each
     :class:`DeviceQueue` clones its own instance (``per_device``).  When
@@ -312,7 +309,7 @@ class FairScheduler(IoScheduler):
         mine.remove(request)
         if not mine:
             del buckets[tenant]
-        if tenant is not _NO_TENANT:
+        if tenant is not None:
             self.served_bytes[tenant] = (
                 self.served_bytes.get(tenant, 0) + request.nbytes)
         return request

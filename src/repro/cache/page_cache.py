@@ -411,9 +411,20 @@ class PageCache:
         shard = self._shard_of(key)
         if key in self._resident:
             shard.policy.on_hit(key)
-            if profiler is not None:
-                profiler.add("cache.residency", t0)
-            return None
+            evicted = None
+        else:
+            evicted = self._insert_new(shard, key, tenant)
+        if profiler is not None:
+            profiler.add("cache.residency", t0)
+        return evicted
+
+    def _insert_new(self, shard: _Shard, key: PageKey,
+                    tenant: str | None) -> PageKey | None:
+        """:meth:`insert`'s steps for a non-resident ``key`` of
+        ``shard``: make room under ``tenant``'s hard cap, then in the
+        full shard; make the key resident, owned by ``tenant`` and
+        observed; count it toward the next rebalance.  Returns the key
+        the shard evicted, if any."""
         evicted: PageKey | None = None
         if tenant is not None:
             self._enforce_hard_cap(tenant)
@@ -433,24 +444,19 @@ class PageCache:
             self._inserts_since_rebalance += 1
             if self._inserts_since_rebalance >= self.rebalance_every:
                 self._rebalance()
-        if profiler is not None:
-            profiler.add("cache.residency", t0)
         return evicted
 
     def insert_run(self, inode_id: int, start: int, n: int,
-                   tenant: str | None = None, on_insert=None) -> None:
+                   tenant: str | None = None) -> None:
         """:meth:`insert` of the ``n`` pages ``[start, start+n)`` of one
         inode, in page order, as one call — the kernel completes each
         span of fault clusters it has read with this.
 
-        Every page takes :meth:`insert`'s steps in :meth:`insert`'s
-        order: a resident page refreshes its recency; a new one first
-        makes room under ``tenant``'s hard cap, then in its full shard,
-        then becomes resident, owned by ``tenant`` and observed, and
-        counts toward the next rebalance.  ``on_insert(key)``, when
-        given, runs after each page's steps.  Evictions, their owners,
-        victim choices, rebalance points and hook calls therefore match
-        ``n`` :meth:`insert` calls exactly.
+        Each page takes :meth:`insert`'s own steps (a resident page
+        refreshes its recency, a new one goes through
+        :meth:`_insert_new`), so evictions, their owners, victim
+        choices, rebalance points, hook calls and the counters and
+        generations each hook sees match ``n`` :meth:`insert` calls.
 
         An untenanted run of new pages into a one-shard LRU cache with no
         pins, limits or observer takes a shortcut: scalar interleaving
@@ -462,21 +468,25 @@ class PageCache:
         """
         if n == 1:
             # a one-page run is one insert
-            key = (inode_id, start)
-            self.insert(key, tenant)
-            if on_insert is not None:
-                on_insert(key)
+            self.insert((inode_id, start), tenant)
             return
         shard = self._shards[inode_id % self._nshards]
         policy = shard.policy
         profiler = self.profiler
         t0 = profiler.begin() if profiler is not None else 0.0
-        if not (tenant is None and on_insert is None and self._nshards == 1
+        if not (tenant is None and self._nshards == 1
                 and not self._pinned and self.observer is None
                 and not self._tenant_limits and not self._page_tenant
                 and type(policy) is LruPolicy and n <= shard.capacity
                 and not self._index.any_in(inode_id, start, n)):
-            self._insert_pages(shard, inode_id, start, n, tenant, on_insert)
+            resident = self._resident
+            insert_new = self._insert_new
+            for page in range(start, start + n):
+                key = (inode_id, page)
+                if key in resident:
+                    policy.on_hit(key)
+                else:
+                    insert_new(shard, key, tenant)
             if profiler is not None:
                 profiler.add("cache.residency", t0)
             return
@@ -514,53 +524,6 @@ class PageCache:
         self.stats.insertions += n
         if profiler is not None:
             profiler.add("cache.residency", t0)
-
-    def _insert_pages(self, shard: _Shard, inode_id: int, start: int,
-                      n: int, tenant: str | None, on_insert) -> None:
-        """:meth:`insert_run`'s general case: :meth:`insert`'s steps,
-        page by page, with the shard and the tenant's cap looked up once
-        and the inode's generation bumped once."""
-        policy = shard.policy
-        resident = self._resident
-        index_add = self._index.add
-        observer = self.observer
-        tenant_pages = self._tenant_pages
-        limit = (self._tenant_limits.get(tenant)
-                 if tenant is not None else None)
-        hard = limit.hard_pages if limit is not None else None
-        sharded = self._nshards > 1
-        fresh = 0
-        for page in range(start, start + n):
-            key = (inode_id, page)
-            if key in resident:
-                policy.on_hit(key)
-            else:
-                if hard is not None:
-                    pages = tenant_pages.get(tenant)
-                    if pages is not None and len(pages) >= hard:
-                        self._enforce_hard_cap(tenant)
-                if shard.count >= shard.capacity:
-                    self._evict_one(shard)
-                resident.add(key)
-                index_add(inode_id, page)
-                policy.on_insert(key)
-                shard.count += 1
-                fresh += 1
-                if tenant is not None:
-                    self._tenant_track(key, tenant)
-                if observer is not None:
-                    observer.on_cache_insert(key)
-                if sharded:
-                    shard.recent_insertions += 1
-                    self._inserts_since_rebalance += 1
-                    if self._inserts_since_rebalance >= self.rebalance_every:
-                        self._rebalance()
-            if on_insert is not None:
-                on_insert(key)
-        if fresh:
-            self.stats.insertions += fresh
-            self._generations[inode_id] = (
-                self._generations.get(inode_id, 0) + fresh)
 
     def _evict_one(self, shard: _Shard) -> PageKey:
         if self._tenant_limits:

@@ -651,26 +651,28 @@ class Kernel:
                          tenant: str | None) -> None:
         """Make just-read ``(page, n, window)`` clusters of one inode
         resident, in order, with one ``insert_run`` per contiguous span
-        of them; pages after each cluster's first are readahead to
-        telemetry."""
-        telemetry = self.telemetry
-        mark = None
-        if telemetry is not None and any(n > 1 for _, n, _ in clusters):
-            heads = {page for page, _, _ in clusters}
-
-            def mark(key) -> None:
-                if key[1] not in heads:
-                    telemetry.on_readahead_insert(key)
-
-        insert_run = self.page_cache.insert_run
+        of them; then mark to telemetry, as readahead, each page after a
+        cluster's first that is still resident.  Telemetry observes the
+        cache, so a page a later insert evicted would have lost its mark
+        to that eviction had it been marked right after its own insert."""
+        cache = self.page_cache
+        insert_run = cache.insert_run
         start = end = None
         for page, n, _ in clusters:
             if page != end:
                 if start is not None:
-                    insert_run(inode_id, start, end - start, tenant, mark)
+                    insert_run(inode_id, start, end - start, tenant)
                 start = page
             end = page + n
-        insert_run(inode_id, start, end - start, tenant, mark)
+        insert_run(inode_id, start, end - start, tenant)
+        telemetry = self.telemetry
+        if telemetry is not None:
+            resident = cache._resident
+            for page, n, _ in clusters:
+                for extra in range(page + 1, page + n):
+                    key = (inode_id, extra)
+                    if key in resident:
+                        telemetry.on_readahead_insert(key)
 
     # -- the event-driven read path ------------------------------------
 

@@ -590,11 +590,13 @@ class Telemetry:
 class TelemetryBatch:
     """Deferred :meth:`Telemetry.on_fault` fan-in for a run batch.
 
-    The engine's batched fault path (``Kernel._fault_in_runs``) completes
-    every miss run of a span in one parked wait, then walks the
-    completions.  Instead of the full ``on_fault`` fan-out per run from
-    inside that walk, :meth:`add` captures the call's arguments, and
-    :meth:`flush` replays them *in the original order*.
+    The engine's completion step (``Kernel._complete_runs``) walks the
+    completions of the miss runs a task parked on, under either parking
+    rule (after each cluster, or once per span through a merge/plug
+    front), then inserts them.  Instead of the full ``on_fault`` fan-out
+    per run from inside that walk, :meth:`add` captures the call's
+    arguments, and :meth:`flush` replays them *in the original order*
+    once the inserts are done.
 
     Replay order is the only thing that moves: ``on_fault`` neither reads
     nor writes anything the interleaved cache inserts touch, *except* the

@@ -12,8 +12,7 @@ estimates.
 
 from __future__ import annotations
 
-from repro.block.scheduler import (_NO_TENANT, DeviceQueue, FairScheduler,
-                                   IoRequest)
+from repro.block.scheduler import DeviceQueue, FairScheduler, IoRequest
 
 __all__ = ["MultiPassFairScheduler", "ScanningDeviceQueue"]
 
@@ -31,7 +30,7 @@ class MultiPassFairScheduler(FairScheduler):
                 self._cursor = 0
             request = self.inner.take_next(pending, head_pos)
             key = request.tenant
-            if key != _NO_TENANT:
+            if key is not None:
                 self.served_bytes[key] = (
                     self.served_bytes.get(key, 0) + request.nbytes)
             return request
@@ -53,7 +52,7 @@ class MultiPassFairScheduler(FairScheduler):
             if self._deficits[tenant] >= candidate.nbytes:
                 self._deficits[tenant] -= candidate.nbytes
                 pending.remove(candidate)
-                if tenant != _NO_TENANT:
+                if tenant is not None:
                     self.served_bytes[tenant] = (
                         self.served_bytes.get(tenant, 0) + candidate.nbytes)
                 return candidate

@@ -316,3 +316,20 @@ def test_oracle_is_routed():
     EventScheduler(kernel, [Task("r", reader(8 * PAGE_SIZE))],
                    engine=engine).run()
     assert calls[1:] == [[(8, 1)], [(9, 1)], [(10, 1)], [(11, 1)]]
+
+
+def test_readahead_marks_of_a_span_that_evicts_itself():
+    """An 8-page cluster into a 4-page cache evicts its own first pages
+    while it goes in.  The per-page loop marks each readahead page right
+    after its insert and the eviction drops the mark again; the pipeline
+    marks the span's pages still resident once it is in.  Faulting an
+    evicted page back in as a cluster head and hitting it shows whether
+    a mark survived."""
+    cfg = dict(profile="ext2", seed=3, block="none", readahead=(8, 8),
+               cache_pages=4, policy="lru", shards=1, rebalance_every=1024,
+               limits=None, fair=False, prefetcher=False, telemetry="plain",
+               sizes=(16 * PAGE_SIZE, PAGE_SIZE), resident=[])
+    program = [(None, [("read", 0, PAGE_SIZE),
+                       ("pread", 1, PAGE_SIZE, PAGE_SIZE),
+                       ("pread", 1, PAGE_SIZE, PAGE_SIZE)])]
+    _assert_matches_oracle(cfg, program)

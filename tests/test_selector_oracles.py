@@ -154,19 +154,23 @@ def test_indexed_soft_victim_matches_linear_scan(program):
 
 
 class _CallLog:
-    """A cache observer (or ``on_insert`` hook) that logs every call."""
+    """A cache observer that logs every call with the counters and
+    generations the cache shows at that moment."""
 
-    def __init__(self):
+    def __init__(self, cache: PageCache):
+        self.cache = cache
         self.calls = []
 
     def __getattr__(self, name):
         if not name.startswith("on_"):
             raise AttributeError(name)
         return lambda *args, **kwargs: self.calls.append(
-            (name, args, sorted(kwargs.items())))
+            (name, args, sorted(kwargs.items()), self._seen()))
 
-    def __call__(self, key):
-        self.calls.append(("on_insert", key))
+    def _seen(self) -> tuple:
+        cache = self.cache
+        return (cache.stats.insertions, cache.stats.evictions,
+                sorted(cache._generations.items()))
 
 
 #: op kinds: runs weighted up, plus the ops that shape what a run meets
@@ -189,12 +193,10 @@ def _apply_run(cache: PageCache, op: tuple, batched: bool):
     kind, (inode, page), tenant, n = op
     if kind != "insert_run":
         return _apply(cache, (kind, (inode, page), tenant))
-    hook = cache.run_hook
     if batched:
-        return cache.insert_run(inode, page, n, tenant, hook)
+        return cache.insert_run(inode, page, n, tenant)
     for key in range(page, page + n):
         cache.insert((inode, key), tenant)
-        hook((inode, key))
     return None
 
 
@@ -203,16 +205,14 @@ def _run_caches(config, observed):
     for _ in range(2):
         cache = PageCache(**config)
         cache.eviction_sink = _EvictionLog()
-        cache.run_hook = _CallLog()
         if observed:
-            cache.observer = _CallLog()
+            cache.observer = _CallLog(cache)
         caches.append(cache)
     return caches
 
 
 def _assert_same_caches(cache, reference, where):
     assert _cache_state(cache) == _cache_state(reference), where
-    assert cache.run_hook.calls == reference.run_hook.calls, where
     if cache.observer is not None:
         assert cache.observer.calls == reference.observer.calls, where
     _check_reclaim_index(cache)
@@ -225,7 +225,8 @@ def test_insert_run_matches_per_page_inserts(program):
     policies, runs that straddle a rebalance, runs over resident keys and
     runs longer than their shard: a run inserts, evicts (same victims,
     same owners, same order), observes and rebalances as its pages would
-    one by one."""
+    one by one, and each observer call sees the same counters and
+    generations."""
     config, observed, ops = program
     cache, reference = _run_caches(config, observed)
     for step, op in enumerate(ops):
