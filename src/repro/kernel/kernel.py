@@ -383,6 +383,8 @@ class Kernel:
         self.page_cache.invalidate_inode(inode.id)
         self._dirty.pop(inode.id, None)
         self._sled_cache.pop(inode.id, None)
+        if self.telemetry is not None:
+            self.telemetry.on_truncate(inode.id)
         fs.truncate_file(inode)
         if not isinstance(inode.content, ByteStoreContent):
             inode.content = ByteStoreContent()
@@ -568,13 +570,11 @@ class Kernel:
         if tenant is not None:
             self.counters.note_tenant_hit(tenant, n)
         prefetcher = self.prefetcher
-        telemetry = self.telemetry
-        if prefetcher is not None or telemetry is not None:
+        if prefetcher is not None:
             for hit in range(page, stop):
-                if prefetcher is not None:
-                    prefetcher.note_access((inode_id, hit))
-                if telemetry is not None:
-                    telemetry.on_hit(inode_id, hit)
+                prefetcher.note_access((inode_id, hit))
+        if self.telemetry is not None:
+            self.telemetry.on_hit(inode_id, page, n)
         return stop
 
     def _fault_cluster(self, of: OpenFile, page: int, window: int) -> None:
@@ -794,10 +794,8 @@ class Kernel:
                 counters.cache_hits += covered
                 if tenant is not None:
                     counters.note_tenant_hit(tenant, covered)
-                telemetry = self.telemetry
-                if telemetry is not None:
-                    for hit in range(page + 1, stop):
-                        telemetry.on_hit(inode_id, hit)
+                if self.telemetry is not None:
+                    self.telemetry.on_hit(inode_id, page + 1, covered)
             page = stop
         if runs:
             futures = engine.plug_for(fs.device).submit(

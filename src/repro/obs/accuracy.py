@@ -22,11 +22,20 @@ into ``sled_abs_error_seconds`` histograms labelled by class).
 
 Predictions are consumed on first use: a SLED describes the state at
 ``FSLEDS_GET`` time, and once a page has moved (device → cache) the old
-estimate no longer applies.
+estimate no longer applies.  A truncation drops the file's predictions:
+they describe bytes that no longer exist.
+
+A snapshot is kept as runs, not pages: per inode, a :class:`_Table` of
+run bounds with one prediction tuple per run, plus the set of pages
+already consumed.  Snapshotting is O(runs), and a fault or a resident
+run settles by range; samples are still added one page at a time, in
+page order, so every sum is the one a per-page store gives
+(``tests/oracles/accuracy.py`` keeps that store as the oracle).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import MetricsRegistry
@@ -43,12 +52,21 @@ class ClassAccuracy:
     predicted_sum: float = 0.0
     actual_sum: float = 0.0
 
-    def add(self, predicted: float, actual: float) -> None:
-        self.samples += 1
-        self.abs_error_sum += abs(actual - predicted)
-        self.error_sum += actual - predicted
-        self.predicted_sum += predicted
-        self.actual_sum += actual
+    def add(self, predicted: float, actual: float, n: int = 1) -> None:
+        """``n`` samples of one ``(predicted, actual)`` pair, summed one
+        at a time (so ``add(p, a, 3)`` equals three ``add(p, a)``)."""
+        error = actual - predicted
+        abs_error = abs(error)
+        abs_sum, error_sum = self.abs_error_sum, self.error_sum
+        predicted_sum, actual_sum = self.predicted_sum, self.actual_sum
+        for _ in range(n):
+            abs_sum += abs_error
+            error_sum += error
+            predicted_sum += predicted
+            actual_sum += actual
+        self.samples += n
+        self.abs_error_sum, self.error_sum = abs_sum, error_sum
+        self.predicted_sum, self.actual_sum = predicted_sum, actual_sum
 
     @property
     def mean_abs_error(self) -> float:
@@ -134,16 +152,65 @@ class AccuracyReport:
         }
 
 
+class _Table:
+    """One inode's outstanding predictions, kept as runs.
+
+    Run ``i`` covers pages ``starts[i]`` up to ``ends[i]`` and predicts
+    ``predictions[i]`` for each of them; a page in ``consumed`` has
+    been delivered since the snapshot.  ``outstanding`` counts the
+    predicted pages not yet consumed.
+    """
+
+    __slots__ = ("starts", "ends", "predictions", "consumed", "outstanding")
+
+    def __init__(self, starts: list[int], ends: list[int],
+                 predictions: list[tuple[float, float, float]],
+                 outstanding: int) -> None:
+        self.starts = starts
+        self.ends = ends
+        self.predictions = predictions
+        self.consumed: set[int] = set()
+        self.outstanding = outstanding
+
+    def settle(self, lo: int, hi: int
+               ) -> list[tuple[tuple[float, float, float], int]]:
+        """Consume pages ``lo`` up to ``hi``.  Returns, per run they
+        touch in page order, its prediction and how many of its pages
+        were still outstanding."""
+        starts, ends, consumed = self.starts, self.ends, self.consumed
+        settled = []
+        i = max(bisect_right(starts, lo) - 1, 0)
+        while i < len(starts) and starts[i] < hi:
+            a = max(lo, starts[i])
+            b = min(hi, ends[i])
+            if a < b:
+                before = len(consumed)
+                consumed.update(range(a, b))
+                fresh = len(consumed) - before
+                if fresh:
+                    self.outstanding -= fresh
+                    settled.append((self.predictions[i], fresh))
+            i += 1
+        return settled
+
+    def prediction_at(self, page: int) -> tuple[float, float, float] | None:
+        """``page``'s prediction, unless it has none or was consumed."""
+        i = bisect_right(self.starts, page) - 1
+        if i < 0 or page >= self.ends[i] or page in self.consumed:
+            return None
+        return self.predictions[i]
+
+
 class SledAccuracyTracker:
     """Pairs ``FSLEDS_GET`` predictions with observed delivery times."""
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        #: (inode_id, page) -> (predicted latency, predicted bandwidth,
-        #: predicted queue delay).  The latency already folds the queue
-        #: term in (that is the promise FSLEDS_GET makes); the separate
-        #: queue figure lets errors be attributed to queue vs. service.
-        self._predictions: dict[tuple[int, int],
-                                tuple[float, float, float]] = {}
+        #: inode_id -> its last snapshot, as runs of (predicted latency,
+        #: predicted bandwidth, predicted queue delay).  The latency
+        #: already folds the queue term in (that is the promise
+        #: FSLEDS_GET makes); the separate queue figure lets errors be
+        #: attributed to queue vs. service.
+        self._tables: dict[int, _Table] = {}
         self._by_class: dict[str, ClassAccuracy] = {}
         self._by_component: dict[tuple[str, str], ClassAccuracy] = {}
         self.unmatched_faults = 0
@@ -162,7 +229,7 @@ class SledAccuracyTracker:
         """Snapshot per-page predictions from one SLED vector.
 
         Returns the number of pages snapshotted.  Re-asking for SLEDs on
-        the same file refreshes the outstanding predictions.
+        the same file replaces its outstanding predictions.
         ``queue_runs`` names how much of each page's predicted latency
         is queue delay, as sorted disjoint ``(start page, end page,
         seconds)`` runs (pages outside them predict zero queueing).
@@ -172,12 +239,15 @@ class SledAccuracyTracker:
         every page of a run shares one prediction tuple.
         """
         npages = (vector.file_size + PAGE_SIZE - 1) // PAGE_SIZE
-        predictions = self._predictions
+        starts: list[int] = []
+        ends: list[int] = []
+        predictions: list[tuple[float, float, float]] = []
         queues = queue_runs or ()
         q = 0
         for sled in vector:
-            page = -(-sled.offset // PAGE_SIZE)
-            stop = min(-(-sled.end // PAGE_SIZE), npages)
+            offset = sled.offset
+            page = -(-offset // PAGE_SIZE)
+            stop = min(-(-(offset + sled.length) // PAGE_SIZE), npages)
             while page < stop:
                 while q < len(queues) and queues[q][1] <= page:
                     q += 1  # that queue run ended before this page
@@ -187,15 +257,17 @@ class SledAccuracyTracker:
                     end, queue = min(stop, queues[q][1]), queues[q][2]
                 else:
                     end, queue = min(stop, queues[q][0]), 0.0
-                prediction = (sled.latency, sled.bandwidth, queue)
-                for p in range(page, end):
-                    predictions[(inode_id, p)] = prediction
+                starts.append(page)
+                ends.append(end)
+                predictions.append((sled.latency, sled.bandwidth, queue))
                 page = end
+        # a vector covers its whole file, so the runs tile every page
+        self._tables[inode_id] = _Table(starts, ends, predictions, npages)
         return npages
 
-    def _consume(self, inode_id: int,
-                 page: int) -> tuple[float, float, float] | None:
-        return self._predictions.pop((inode_id, page), None)
+    def drop(self, inode_id: int) -> None:
+        """Forget ``inode_id``'s predictions (its file was truncated)."""
+        self._tables.pop(inode_id, None)
 
     # -- observations ----------------------------------------------------
 
@@ -208,9 +280,11 @@ class SledAccuracyTracker:
         service.  Returns the consumed ``(predicted total, predicted
         queue)`` pair, or None when no prediction was outstanding.
         """
-        prediction = self._consume(inode_id, page)
-        for extra in range(page + 1, page + cluster):
-            self._consume(inode_id, extra)
+        table = self._tables.get(inode_id)
+        prediction = None
+        if table is not None:
+            prediction = table.prediction_at(page)
+            table.settle(page, page + cluster)
         if prediction is None:
             self.unmatched_faults += 1
             return None
@@ -224,22 +298,28 @@ class SledAccuracyTracker:
 
     def record_hit(self, inode_id: int, page: int,
                    actual_seconds: float,
-                   device_class: str = "memory") -> None:
-        """One page delivered from the cache in ``actual_seconds``."""
-        prediction = self._consume(inode_id, page)
-        if prediction is None:
+                   device_class: str = "memory", pages: int = 1) -> None:
+        """``pages`` pages from ``page`` on delivered from the cache in
+        ``actual_seconds`` each."""
+        table = self._tables.get(inode_id)
+        if table is None:
             return
-        latency, bandwidth, _queue = prediction
-        predicted = latency + PAGE_SIZE / bandwidth
-        self._record(device_class, predicted, actual_seconds)
+        for (latency, bandwidth, _queue), n in table.settle(page,
+                                                            page + pages):
+            self._record(device_class, latency + PAGE_SIZE / bandwidth,
+                         actual_seconds, n)
 
     def _record(self, device_class: str, predicted: float,
-                actual: float) -> None:
-        acc = self._by_class.setdefault(device_class, ClassAccuracy())
-        acc.add(predicted, actual)
+                actual: float, n: int = 1) -> None:
+        acc = self._by_class.get(device_class)
+        if acc is None:
+            acc = self._by_class[device_class] = ClassAccuracy()
+        acc.add(predicted, actual, n)
         if self._abs_error is not None:
-            self._abs_error.child[device_class].observe(
-                abs(actual - predicted))
+            observe = self._abs_error.child[device_class].observe
+            error = abs(actual - predicted)
+            for _ in range(n):
+                observe(error)
 
     def _record_component(self, device_class: str, component: str,
                           predicted: float, actual: float) -> None:
@@ -251,13 +331,13 @@ class SledAccuracyTracker:
 
     @property
     def outstanding(self) -> int:
-        return len(self._predictions)
+        return sum(table.outstanding for table in self._tables.values())
 
     def report(self) -> AccuracyReport:
         return AccuracyReport(
             by_class={name: acc for name, acc in self._by_class.items()},
             by_component=dict(self._by_component),
-            predictions_outstanding=len(self._predictions),
+            predictions_outstanding=self.outstanding,
             unmatched_faults=self.unmatched_faults)
 
     def to_dict(self) -> dict:
@@ -289,12 +369,12 @@ class SledAccuracyTracker:
                 for (cls, component), acc in
                 sorted(self._by_component.items())
             },
-            "outstanding": len(self._predictions),
+            "outstanding": self.outstanding,
             "unmatched_faults": self.unmatched_faults,
         }
 
     def clear(self) -> None:
-        self._predictions.clear()
+        self._tables.clear()
         self._by_class.clear()
         self._by_component.clear()
         self.unmatched_faults = 0

@@ -22,11 +22,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Span:
-    """One completed span of virtual time."""
+class Span(NamedTuple):
+    """One completed span of virtual time.
+
+    A tuple, so it is cheap to build, immutable and hashable (when its
+    attribute values are), and it compares equal to the tuple of its
+    fields.
+    """
 
     id: int
     parent_id: int | None
@@ -101,32 +106,31 @@ class SpanRecorder:
             top = self._stack.pop()
             if top is open_span:
                 break
-        return self._record(open_span, t)
+        return self._record(open_span.id, open_span.parent_id,
+                            open_span.kind, open_span.name,
+                            open_span.start, t, open_span.attrs)
 
     def add(self, kind: str, name: str, start: float, end: float,
             parent_id: int | None = None, **attrs) -> Span:
         """Record a complete span; parent defaults to the open span."""
         if parent_id is None and self._stack:
             parent_id = self._stack[-1].id
-        open_span = OpenSpan(id=self._next_id, parent_id=parent_id,
-                             kind=kind, name=name, start=start, attrs=attrs)
+        span_id = self._next_id
         self._next_id += 1
-        return self._record(open_span, end)
+        return self._record(span_id, parent_id, kind, name, start, end,
+                            attrs)
 
-    def _record(self, open_span: OpenSpan, end: float) -> Span:
-        if end < open_span.start:
-            raise ValueError(
-                f"span ends before it starts: {end} < {open_span.start}")
-        span = Span(id=open_span.id, parent_id=open_span.parent_id,
-                    kind=open_span.kind, name=open_span.name,
-                    start=open_span.start, end=end,
-                    attrs=tuple(sorted(open_span.attrs.items())))
+    def _record(self, span_id: int, parent_id: int | None, kind: str,
+                name: str, start: float, end: float, attrs: dict) -> Span:
+        if end < start:
+            raise ValueError(f"span ends before it starts: {end} < {start}")
+        span = Span(span_id, parent_id, kind, name, start, end,
+                    tuple(sorted(attrs.items())))
         if len(self._spans) == self.capacity:
             self.dropped += 1
         self._spans.append(span)
         if self.tracer is not None:
-            self.tracer.emit(span.start, span.kind, span.name,
-                             span.duration, **open_span.attrs)
+            self.tracer.emit(start, kind, name, end - start, **attrs)
         return span
 
     # -- queries ---------------------------------------------------------

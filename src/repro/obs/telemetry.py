@@ -343,14 +343,20 @@ class Telemetry:
             components=components,
             tenant=getattr(self._kernel, "current_tenant", None))
 
-    def on_hit(self, inode_id: int, page: int) -> None:
-        """A read found its page resident; settle any SLED prediction."""
+    def on_hit(self, inode_id: int, page: int, pages: int = 1) -> None:
+        """A read found ``pages`` pages from ``page`` on resident; settle
+        any SLED predictions they had."""
         kernel = self._kernel
         if kernel is None:
             return
         spec = kernel.memory.spec
         actual = spec.latency + PAGE_SIZE / spec.bandwidth
-        self.accuracy.record_hit(inode_id, page, actual)
+        self.accuracy.record_hit(inode_id, page, actual, pages=pages)
+
+    def on_truncate(self, inode_id: int) -> None:
+        """A file lost its bytes; its SLED predictions describe bytes
+        that no longer exist."""
+        self.accuracy.drop(inode_id)
 
     def on_readahead_insert(self, key) -> None:
         self._pending_ra.add(key)
