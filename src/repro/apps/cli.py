@@ -183,8 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="profile the blocking fault storm instead "
                              "of the concurrent readers: sequential "
                              "re-reads of a file 4x the cache on a "
-                             "dedicated machine — the vectorised fault "
-                             "path BENCH_core_throughput gates, so "
+                             "dedicated machine — the run path "
+                             "(Device.read_run, advance_run, insert_run) "
+                             "BENCH_core_throughput gates, so "
                              "--budget measures what the benchmark "
                              "measures; --repeat reps are scored on the "
                              "best wall time")
@@ -296,7 +297,7 @@ STORM_CHUNK_PAGES = 64
 
 
 def _profile_storm(args) -> int:
-    """``sleds-run profile --storm``: the vectorised-fault-path gate."""
+    """``sleds-run profile --storm``: the run-path throughput gate."""
     from repro.machine import Machine
     from repro.obs import HotPathProfiler
     from repro.sim.units import PAGE_SIZE

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.devices import batch
-
 
 @dataclass(frozen=True)
 class DeviceSpec:
@@ -190,7 +188,10 @@ class Device(ABC):
     """Abstract storage device with dynamic positional state.
 
     Subclasses implement :meth:`_access_time`; the public :meth:`read` and
-    :meth:`write` wrappers validate arguments and keep statistics.
+    :meth:`write` wrappers validate arguments and keep statistics.  Those
+    whose sequential continuations cost arithmetic alone state that cost
+    once, in ``_continuation``, which :meth:`read_run` also prices runs
+    with.
     """
 
     #: category name used when charging this device's time to the clock
@@ -210,6 +211,22 @@ class Device(ABC):
     #: read-through (seek-capable devices reposition instead).
     _gap_read_through_bytes: int = 0
 
+    #: where the next access continues the last one without repositioning
+    #: (no seek, no rng draw): a disk's or CD-ROM's head, an NFS server's
+    #: read-ahead.  None where every access continues (flash, memory) and
+    #: on devices without a continuation model.
+    head_pos: int | None = None
+
+    #: ``_continuation(addr, nbytes)`` prices a continuation access of
+    #: ``nbytes`` at ``addr`` and moves no state.  It returns ``(duration,
+    #: components, end)``: the duration as ``_access_time`` computes it,
+    #: the nonzero components in ``_access_time``'s order, and the address
+    #: up to which every continuation costs the same (a disk zone's end,
+    #: otherwise the capacity).  ``_access_time`` prices continuations
+    #: with it and :meth:`read_run` whole runs.  None on devices without a
+    #: continuation model (tape, RAID, autochanger).
+    _continuation = None
+
     def __init__(self, spec: DeviceSpec, capacity: int,
                  rng: np.random.Generator | None = None) -> None:
         if capacity <= 0:
@@ -223,7 +240,7 @@ class Device(ABC):
         #: may not influence device state or timing
         self.observer = None
         #: component breakdown of the access currently being computed;
-        #: ``_access_time`` implementations fill it via :meth:`_components`
+        #: ``_access_time`` implementations fill it from :meth:`_components`
         #: so the lifecycle layer can attribute where a duration went
         self._last_components: dict[str, float] | None = None
         #: cumulative virtual seconds per component ("positioning",
@@ -288,18 +305,23 @@ class Device(ABC):
                               submit_time=submit_time, start_time=start,
                               duration=duration)
 
-    def _components(self, **parts: float) -> None:
-        """Record the component breakdown of the access being computed.
+    @staticmethod
+    def _components(**parts: float) -> dict[str, float]:
+        """The component breakdown of one access: ``parts`` without the
+        zero-valued ones, in the order given.
 
         Purely observational: ``_access_time`` implementations keep their
         original duration arithmetic (order of float additions included —
-        the timings are regression anchors) and call this alongside it so
+        the timings are regression anchors) and store this alongside it
+        in ``_last_components`` (or return it from ``_continuation``), so
         every charged second is attributable to a named component.  Any
         rounding daylight between the sum of parts and the returned
         duration is attributed to the residual by the lifecycle layer.
         """
-        self._last_components = {name: seconds for name, seconds
-                                 in parts.items() if seconds != 0.0}
+        if 0.0 in parts.values():
+            return {name: seconds for name, seconds in parts.items()
+                    if seconds != 0.0}
+        return parts
 
     def submit_spans(self, spans, is_write: bool = False,
                      now: float | None = None) -> Completion:
@@ -410,98 +432,71 @@ class Device(ABC):
         return duration
 
     def read_run(self, addr: int, npages: int, page_bytes: int):
-        """Batched equivalent of ``npages`` successive blocking reads.
+        """Read ``npages`` consecutive pages from ``addr`` in one call.
 
-        Bit-identical to the scalar loop::
+        Equal, bit for bit, to the scalar loop::
 
             [self.read(addr + i * page_bytes, page_bytes)
              for i in range(npages)]
 
-        but with the per-access arithmetic done in one numpy pass (see
-        :mod:`repro.devices.batch`).  Only the *first* access of the run
-        can be non-sequential (and therefore draw from the rng / move the
-        head); it is served by a real scalar :meth:`read`, after which
-        every following access is a sequential continuation by
-        construction — pure arithmetic handled by the per-device
-        :meth:`_batch_page_math` kernel.
+        in the durations it returns and in the stats, busy horizon,
+        component totals, position and rng draws it leaves behind.  A
+        first page that does not continue the device's position goes
+        through :meth:`read` (it seeks, and may draw from the rng); every
+        page after it continues its predecessor.  :meth:`_continuation`
+        prices those once per stretch of equal cost, and each stretch
+        adds its duration and components once per page, in page order,
+        with ``+=`` — ``sum()`` and ``math.fsum`` would round differently
+        from the scalar chain of additions.
 
-        Returns the per-access durations as a numpy array, or ``None``
-        when the batch path is unavailable (vectorisation disabled, no
-        batch kernel for this device, an observer attached, or failure
-        injection armed) — the caller must then fall back to scalar
-        reads.  ``None`` is returned *before* any state moves, so the
-        fallback always starts from a clean slate.
+        Returns the durations as a list, or ``None`` before any state
+        moves when the run cannot be priced this way: the device has no
+        continuation model, its reads fill a cache it models, an observer
+        is attached, or failures or bad ranges are armed.  The caller then
+        reads page by page.
         """
-        if npages <= 0 or not batch.enabled() or not self._batch_eligible():
-            return None
-        if (self.observer is not None or self._pending_failures > 0
+        if (npages <= 0 or self._continuation is None or self._caches_reads()
+                or self.observer is not None or self._pending_failures > 0
                 or self._bad_ranges):
             return None
         self._check(addr, npages * page_bytes)
-        durations = np.empty(npages)
-        offset = 0
-        if self._batch_needs_scalar_head(addr):
-            durations[0] = self.read(addr, page_bytes)
-            offset = 1
-        count = npages - offset
-        if count:
-            tail, components = self._batch_page_math(
-                addr + offset * page_bytes, count, page_bytes)
-            durations[offset:] = tail
-            self._commit_batch_read(tail, components, count, page_bytes)
-            self._batch_commit_position(addr + npages * page_bytes)
+        end = addr + npages * page_bytes
+        head = self.head_pos
+        durations = []
+        if head is not None and addr != head:
+            durations.append(self.read(addr, page_bytes))
+            addr += page_bytes
+        stats = self.stats
+        totals = self.component_totals
+        busy = stats.busy_time
+        horizon = self.busy_until
+        stats.reads += (end - addr) // page_bytes
+        stats.bytes_read += end - addr
+        while addr < end:
+            duration, parts, limit = self._continuation(addr, page_bytes)
+            count = min(end - addr,
+                        limit - addr + page_bytes - 1) // page_bytes
+            durations += [duration] * count
+            for _ in range(count):
+                busy += duration
+                horizon += duration
+            for part, seconds in parts.items():
+                total = totals.get(part, 0.0)
+                for _ in range(count):
+                    total += seconds
+                totals[part] = total
+            addr += count * page_bytes
+        stats.busy_time = busy
+        # blocking reads never queue: each starts at the busy horizon
+        self.busy_until = horizon
+        if head is not None:
+            self.head_pos = end
         return durations
 
-    def _batch_eligible(self) -> bool:
-        """Whether this device has a batch kernel *right now*.
-
-        Checked before any state moves so an ineligible device never
-        sees a half-executed batch.  The base class has no kernel.
-        """
+    def _caches_reads(self) -> bool:
+        """Whether reads also fill a cache this device models (an NFS
+        server's), which :meth:`read_run` does not update."""
         return False
-
-    def _batch_needs_scalar_head(self, addr: int) -> bool:
-        """Whether the first access of a run at ``addr`` must go through
-        the scalar path (non-sequential: seeks, rng draws, nested
-        devices).  Positionless devices return False."""
-        return False
-
-    def _batch_page_math(self, addr: int, count: int, page_bytes: int):
-        """Per-access durations and component arrays for ``count``
-        *sequential* page reads starting at ``addr``.
-
-        Pure arithmetic — no state updates, no rng.  Returns
-        ``(durations, components)`` where ``durations`` is a float array
-        of length ``count`` and ``components`` maps component names to
-        per-access value arrays.  Every element must equal what the
-        scalar ``_access_time`` would have produced for the same
-        sequential access, bit for bit.
-        """
-        raise NotImplementedError
-
-    def _batch_commit_position(self, end_addr: int) -> None:
-        """Apply the positional state a run ending at ``end_addr`` leaves
-        behind (head position, sequential cursor).  Positionless devices
-        do nothing."""
-
-    def _commit_batch_read(self, durations, components, count: int,
-                           page_bytes: int) -> None:
-        """Fold a batch's stats into the same running sums the scalar
-        path maintains, in the scalar accumulation order."""
-        self.stats.reads += count
-        self.stats.bytes_read += count * page_bytes
-        self.stats.busy_time = batch.fold(self.stats.busy_time, durations)
-        # blocking reads never queue: each access starts at the busy
-        # horizon, so the horizon advances by the same fold
-        self.busy_until = batch.fold(self.busy_until, durations)
-        totals = self.component_totals
-        for part, values in components.items():
-            if part in totals:
-                totals[part] = batch.fold(totals[part], values)
-            elif np.any(values):
-                # scalar _components drops zero-valued parts, so never
-                # create a key from an all-zero column
-                totals[part] = batch.fold(0.0, values)
 
     def write(self, addr: int, nbytes: int) -> float:
         """Time in seconds to write ``nbytes`` starting at ``addr``."""

@@ -54,46 +54,33 @@ class CdromDevice(Device):
                           bandwidth=bandwidth)
         super().__init__(spec, capacity=capacity, rng=rng)
         self.head_pos = 0
-        self._next_sequential = 0
+
+    def _continuation(self, addr: int, nbytes: int):
+        # streaming: no settle, no travel, no rng — transfer time alone
+        transfer = nbytes / self.spec.bandwidth
+        return transfer, self._components(transfer=transfer), self.capacity
 
     def _access_time(self, addr: int, nbytes: int, is_write: bool) -> float:
         if is_write:
             raise ValueError(f"CD-ROM {self.name!r} is read-only")
-        duration = 0.0
-        if addr != self._next_sequential:
+        if addr == self.head_pos:
+            duration, self._last_components, _ = self._continuation(
+                addr, nbytes)
+        else:
             frac = abs(addr - self.head_pos) / self.capacity
-            duration += self.base_settle + self.max_travel * math.sqrt(frac)
+            duration = self.base_settle + self.max_travel * math.sqrt(frac)
             if frac > 0.25:
                 duration += self.speed_change
             # re-sync jitter of up to one sector window
             duration += float(self.rng.uniform(0.0, 10.0 * MSEC))
             self.stats.seeks += 1
-        transfer = nbytes / self.spec.bandwidth
-        positioning = duration
-        duration += transfer
+            transfer = nbytes / self.spec.bandwidth
+            positioning = duration
+            duration += transfer
+            self._last_components = self._components(
+                positioning=positioning, transfer=transfer)
         self.head_pos = addr + nbytes
-        self._next_sequential = addr + nbytes
-        self._components(positioning=positioning, transfer=transfer)
         return duration
-
-    # -- batched fast path ----------------------------------------------
-
-    def _batch_eligible(self) -> bool:
-        return True
-
-    def _batch_needs_scalar_head(self, addr: int) -> bool:
-        return addr != self._next_sequential
-
-    def _batch_page_math(self, addr: int, count: int, page_bytes: int):
-        # Sequential streaming: no settle, no travel, no rng — the scalar
-        # path charges 0.0 + transfer, which is transfer bit for bit, and
-        # drops the zero positioning component.
-        transfer = np.full(count, page_bytes / self.spec.bandwidth)
-        return transfer, {"transfer": transfer}
-
-    def _batch_commit_position(self, end_addr: int) -> None:
-        self.head_pos = end_addr
-        self._next_sequential = end_addr
 
     def head_position(self) -> int:
         return self.head_pos
@@ -101,4 +88,3 @@ class CdromDevice(Device):
     def reset_state(self) -> None:
         super().reset_state()
         self.head_pos = 0
-        self._next_sequential = 0

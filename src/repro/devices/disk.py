@@ -23,6 +23,7 @@ The defaults are tuned so the lmbench-style characterisation in
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,11 @@ class DiskDevice(Device):
             raise ValueError("need 0 <= min_seek <= max_seek")
         if rpm <= 0:
             raise ValueError(f"rpm must be positive: {rpm}")
+        if controller_overhead < 0:
+            raise ValueError(
+                f"controller overhead must be >= 0: {controller_overhead}")
+        if any(zone.bandwidth <= 0 for zone in zones):
+            raise ValueError("zone bandwidths must be positive")
         self.min_seek = min_seek
         self.max_seek = max_seek
         self.rotation_period = 60.0 / rpm
@@ -85,10 +91,11 @@ class DiskDevice(Device):
                           bandwidth=self._mean_bandwidth(zones, capacity))
         super().__init__(spec, capacity=capacity, rng=rng)
         self.head_pos = 0
-        self._next_sequential = 0
-        # zone table as flat arrays for the vectorised batch kernel
-        self._zone_starts = np.array([z.start_frac for z in zones])
-        self._zone_bandwidths = np.array([z.bandwidth for z in zones])
+        #: first address past each zone: where ``zone_index`` changes,
+        #: exactly, whatever the rounding of ``start_frac * capacity``
+        self._zone_ends = tuple(
+            bisect_right(range(capacity), index, key=self.zone_index)
+            for index in range(len(zones)))
 
     @staticmethod
     def _mean_bandwidth(zones: tuple[Zone, ...], capacity: int) -> float:
@@ -134,52 +141,34 @@ class DiskDevice(Device):
         frac = distance / self.capacity
         return self.min_seek + (self.max_seek - self.min_seek) * math.sqrt(frac)
 
+    def _continuation(self, addr: int, nbytes: int):
+        # no seek, no rotation, no rng: the controller overhead and the
+        # transfer at the zone's rate, the same up to the zone's end
+        index = self.zone_index(addr)
+        transfer = nbytes / self.zones[index].bandwidth
+        return (self.controller_overhead + transfer,
+                self._components(overhead=self.controller_overhead,
+                                 transfer=transfer),
+                self._zone_ends[index])
+
     def _access_time(self, addr: int, nbytes: int, is_write: bool) -> float:
-        sequential = addr == self._next_sequential
-        duration = self.controller_overhead
-        positioning = 0.0
-        if not sequential:
+        if addr == self.head_pos:
+            duration, self._last_components, _ = self._continuation(
+                addr, nbytes)
+        else:
             seek = self.seek_time(self.head_pos, addr)
             rotation = float(self.rng.uniform(0.0, self.rotation_period))
+            transfer = nbytes / self.bandwidth_at(addr)
+            duration = self.controller_overhead
             duration += seek
             duration += rotation
-            positioning = seek + rotation
+            duration += transfer
             self.stats.seeks += 1
-        transfer = nbytes / self.bandwidth_at(addr)
-        duration += transfer
+            self._last_components = self._components(
+                overhead=self.controller_overhead,
+                positioning=seek + rotation, transfer=transfer)
         self.head_pos = addr + nbytes
-        self._next_sequential = addr + nbytes
-        self._components(overhead=self.controller_overhead,
-                         positioning=positioning, transfer=transfer)
         return duration
-
-    # -- batched fast path ----------------------------------------------
-
-    def _batch_eligible(self) -> bool:
-        return True
-
-    def _batch_needs_scalar_head(self, addr: int) -> bool:
-        return addr != self._next_sequential
-
-    def _batch_page_math(self, addr: int, count: int, page_bytes: int):
-        # Sequential continuations: no seek, no rotation, no rng — each
-        # access is controller_overhead + nbytes / bandwidth_at(addr),
-        # with the zone looked up per address exactly as zone_index does
-        # (largest zone whose start fraction the address has reached).
-        addrs = addr + page_bytes * np.arange(count, dtype=np.int64)
-        frac = addrs / self.capacity
-        idx = (frac[:, None] >= self._zone_starts).sum(axis=1) - 1
-        transfer = page_bytes / self._zone_bandwidths[idx]
-        durations = self.controller_overhead + transfer
-        components = {
-            "overhead": np.full(count, self.controller_overhead),
-            "transfer": transfer,
-        }
-        return durations, components
-
-    def _batch_commit_position(self, end_addr: int) -> None:
-        self.head_pos = end_addr
-        self._next_sequential = end_addr
 
     def head_position(self) -> int:
         return self.head_pos
@@ -187,4 +176,3 @@ class DiskDevice(Device):
     def reset_state(self) -> None:
         super().reset_state()
         self.head_pos = 0
-        self._next_sequential = 0

@@ -53,25 +53,19 @@ class FlashDevice(Device):
                           latency=read_latency, bandwidth=read_bandwidth)
         super().__init__(spec, capacity=capacity, rng=rng)
 
-    def _batch_eligible(self) -> bool:
-        return True
-
-    def _batch_page_math(self, addr: int, count: int, page_bytes: int):
-        # No positional state: every read is read_latency + transfer.
-        transfer = np.full(count, page_bytes / self.read_bandwidth)
-        durations = np.full(count, self.read_latency + page_bytes
-                            / self.read_bandwidth)
-        components = {
-            "overhead": np.full(count, self.read_latency),
-            "transfer": transfer,
-        }
-        return durations, components
+    def _continuation(self, addr: int, nbytes: int):
+        # no positional state: every read is read_latency + transfer
+        transfer = nbytes / self.read_bandwidth
+        return (self.read_latency + transfer,
+                self._components(overhead=self.read_latency,
+                                 transfer=transfer),
+                self.capacity)
 
     def _access_time(self, addr: int, nbytes: int, is_write: bool) -> float:
         if not is_write:
-            transfer = nbytes / self.read_bandwidth
-            self._components(overhead=self.read_latency, transfer=transfer)
-            return self.read_latency + transfer
+            duration, self._last_components, _ = self._continuation(
+                addr, nbytes)
+            return duration
         transfer = nbytes / self.write_bandwidth
         duration = self.program_latency + transfer
         # partial erase blocks force a read-modify-write in the FTL
@@ -83,5 +77,6 @@ class FlashDevice(Device):
             duration += self.erase_penalty
         elif misaligned_head or misaligned_tail:
             duration += self.erase_penalty / 2
-        self._components(overhead=duration - transfer, transfer=transfer)
+        self._last_components = self._components(
+            overhead=duration - transfer, transfer=transfer)
         return duration

@@ -29,21 +29,14 @@ class MemoryDevice(Device):
                           latency=latency, bandwidth=bandwidth)
         super().__init__(spec, capacity=capacity, rng=rng)
 
-    def _batch_eligible(self) -> bool:
-        return True
-
-    def _batch_page_math(self, addr: int, count: int, page_bytes: int):
-        # No positional state: every read is latency + transfer.
-        transfer = np.full(count, page_bytes / self.spec.bandwidth)
-        durations = np.full(count, self.spec.latency + page_bytes
-                            / self.spec.bandwidth)
-        components = {
-            "overhead": np.full(count, self.spec.latency),
-            "transfer": transfer,
-        }
-        return durations, components
+    def _continuation(self, addr: int, nbytes: int):
+        # no positional state: every access is latency + transfer
+        transfer = nbytes / self.spec.bandwidth
+        return (self.spec.latency + transfer,
+                self._components(overhead=self.spec.latency,
+                                 transfer=transfer),
+                self.capacity)
 
     def _access_time(self, addr: int, nbytes: int, is_write: bool) -> float:
-        transfer = nbytes / self.spec.bandwidth
-        self._components(overhead=self.spec.latency, transfer=transfer)
-        return self.spec.latency + transfer
+        duration, self._last_components, _ = self._continuation(addr, nbytes)
+        return duration

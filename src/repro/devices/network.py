@@ -76,7 +76,9 @@ class NfsDevice(Device):
         spec = DeviceSpec(name=name, kind="nfs", latency=nominal_latency,
                           bandwidth=link_bandwidth)
         super().__init__(spec, capacity=capacity, rng=rng)
-        self._next_sequential = 0
+        #: where the server's read-ahead continues; the block layer's
+        #: elevator still sees address 0 (no head to sort requests by)
+        self.head_pos = 0
 
     # -- the server's buffer cache ---------------------------------------
 
@@ -115,62 +117,48 @@ class NfsDevice(Device):
         range in the server's cache."""
         self._server_cache_insert(addr, nbytes)
 
+    def _caches_reads(self) -> bool:
+        return self.server_cache_blocks > 0
+
+    def _continuation(self, addr: int, nbytes: int):
+        # Server read-ahead already staged the data; disk time hidden.
+        network = self.rtt + self.request_overhead
+        wire = nbytes / self.link_bandwidth
+        return (network + wire,
+                self._components(network=network, transfer=wire),
+                self.capacity)
+
     def _access_time(self, addr: int, nbytes: int, is_write: bool) -> float:
-        duration = self.rtt + self.request_overhead
-        sequential = addr == self._next_sequential
-        if sequential:
-            # Server read-ahead already staged the data; disk time hidden.
-            server_time = 0.0
-        elif is_write:
-            server_time = self.server_disk.write(addr, nbytes)
-        elif self.server_cached(addr, nbytes):
-            # Server cache hit: no disk, no queueing penalty — just the
-            # server's memory-copy time (negligible next to the wire).
-            server_time = 0.5 * MSEC
+        if addr == self.head_pos:
+            duration, self._last_components, _ = self._continuation(
+                addr, nbytes)
         else:
-            # Random read: server cache cold for this range; charge the
-            # server disk plus a queueing penalty for a busy server.
-            server_time = self.server_disk.read(addr, nbytes)
-            server_time += float(
-                self.rng.uniform(0.0, self.server_cache_penalty))
-            self.stats.seeks += 1
+            if is_write:
+                server_time = self.server_disk.write(addr, nbytes)
+            elif self.server_cached(addr, nbytes):
+                # Server cache hit: no disk, no queueing penalty — just
+                # the server's memory-copy time (negligible next to the
+                # wire).
+                server_time = 0.5 * MSEC
+            else:
+                # Random read: server cache cold for this range; charge
+                # the server disk plus a queueing penalty for a busy
+                # server.
+                server_time = self.server_disk.read(addr, nbytes)
+                server_time += float(
+                    self.rng.uniform(0.0, self.server_cache_penalty))
+                self.stats.seeks += 1
+            network = self.rtt + self.request_overhead
+            wire = nbytes / self.link_bandwidth
+            duration = network + (server_time + wire)
+            self._last_components = self._components(
+                network=network, server=server_time, transfer=wire)
         if not is_write:
             self._server_cache_insert(addr, nbytes)
-        wire = nbytes / self.link_bandwidth
-        duration += server_time + wire
-        self._next_sequential = addr + nbytes
-        self._components(network=self.rtt + self.request_overhead,
-                         server=server_time, transfer=wire)
+        self.head_pos = addr + nbytes
         return duration
-
-    # -- batched fast path ----------------------------------------------
-
-    def _batch_eligible(self) -> bool:
-        # The server-cache model mutates LRU membership and bumps
-        # cache_version on every read — per-access state the batch kernel
-        # does not reproduce.  It is off (0 blocks) in the paper setup.
-        return self.server_cache_blocks == 0
-
-    def _batch_needs_scalar_head(self, addr: int) -> bool:
-        return addr != self._next_sequential
-
-    def _batch_page_math(self, addr: int, count: int, page_bytes: int):
-        # Sequential continuations ride the server's read-ahead: no
-        # server disk, no rng.  Scalar order: (rtt + request_overhead)
-        # + (0.0 + wire), and the zero server component is dropped.
-        base = self.rtt + self.request_overhead
-        wire = page_bytes / self.link_bandwidth
-        durations = np.full(count, base + wire)
-        components = {
-            "network": np.full(count, base),
-            "transfer": np.full(count, wire),
-        }
-        return durations, components
-
-    def _batch_commit_position(self, end_addr: int) -> None:
-        self._next_sequential = end_addr
 
     def reset_state(self) -> None:
         super().reset_state()
-        self._next_sequential = 0
+        self.head_pos = 0
         self.server_disk.reset_state()

@@ -106,10 +106,8 @@ class Raid1(Device):
         super().__init__(spec, capacity=capacity, rng=rng)
 
     def _nearest_member(self, addr: int) -> Device:
-        def distance(member: Device) -> int:
-            head = getattr(member, "head_pos", 0)
-            return abs(head - addr)
-        return min(self.members, key=distance)
+        return min(self.members,
+                   key=lambda member: abs(member.head_position() - addr))
 
     def _access_time(self, addr: int, nbytes: int, is_write: bool) -> float:
         if is_write:

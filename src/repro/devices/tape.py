@@ -157,7 +157,8 @@ class TapeDevice(Device):
         duration += transfer
         self.loaded.position = addr + nbytes
         self._next_sequential = addr + nbytes
-        self._components(positioning=positioning, transfer=transfer)
+        self._last_components = self._components(
+            positioning=positioning, transfer=transfer)
         return duration
 
     def reset_state(self) -> None:

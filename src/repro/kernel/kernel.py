@@ -37,7 +37,6 @@ from repro.cache.readahead import ReadaheadWindow
 from repro.core.builder import build_sled_vector
 from repro.core.sled import SledVector
 from repro.core.sled_table import SledTable
-from repro.devices import batch as device_batch
 from repro.devices.memory import MemoryDevice
 from repro.fs.content import ByteStoreContent
 from repro.fs.filesystem import FileSystem, split_path
@@ -638,7 +637,7 @@ class Kernel:
                 for page in range(file_page, file_page + pages):
                     self._fault_cluster(of, page, 1)
                 continue
-            self.clock.advance_run(durations.tolist(), device.time_category)
+            self.clock.advance_run(durations, device.time_category)
             cache.stats.misses += pages
             counters.cache_misses += pages
             counters.hard_faults += pages
@@ -828,8 +827,7 @@ class Kernel:
         telemetry = self.telemetry
         now = self.clock.now
         tele_batch = None
-        if (telemetry is not None and telemetry.timeseries is None
-                and device_batch.enabled()):
+        if telemetry is not None and telemetry.timeseries is None:
             tele_batch = self._telemetry_batch
             if tele_batch is None or tele_batch.telemetry is not telemetry:
                 from repro.obs.telemetry import TelemetryBatch

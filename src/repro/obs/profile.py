@@ -38,7 +38,7 @@ SITES = {
     "cache.resident_runs": "build_sled_vector: resident interval-run query",
     "block.merge_flush": "PlugQueue.flush: coalesce + dispatch",
     "kernel.fault_batch": "Kernel._fault_in: one blocking read's fault span",
-    "device.batch_math": "Device.read_run: whole-run latency kernels",
+    "device.batch_math": "Device.read_run: one run of page reads priced",
     "obs.telemetry_flush": "TelemetryBatch.flush: deferred on_fault fan-in",
 }
 

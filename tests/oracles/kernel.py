@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from types import MethodType
 
-from repro.devices import batch as device_batch
 from repro.obs.lifecycle import component_delta, snapshot_components
-from repro.obs.telemetry import TelemetryBatch
 from repro.sim.errors import InvalidArgumentError
 from repro.sim.units import page_span
 
@@ -208,10 +206,6 @@ def per_page_fault_in_runs(kernel, of, offset: int, length: int,
     device = fs.device
     category = device.time_category
     now = kernel.clock.now
-    tele_batch = None
-    if (telemetry is not None and device_batch.enabled()
-            and telemetry.timeseries is None):
-        tele_batch = TelemetryBatch(telemetry)
     for (page, cluster, window), future in zip(runs, futures):
         completion = future.value
         seconds = completion.duration
@@ -220,10 +214,7 @@ def per_page_fault_in_runs(kernel, of, offset: int, length: int,
         if tracer is not None:
             tracer.emit(now, "fault", category, seconds,
                         page=page, cluster=cluster, inode=inode_id)
-        if tele_batch is not None:
-            tele_batch.add(device, inode_id, page, cluster, seconds,
-                           now, window, fs, completion)
-        elif telemetry is not None:
+        if telemetry is not None:
             telemetry.on_fault(
                 device, inode_id, page, cluster, seconds,
                 now=now, window=window, fs=fs, completion=completion)
@@ -231,8 +222,6 @@ def per_page_fault_in_runs(kernel, of, offset: int, length: int,
             cache.insert((inode_id, extra), tenant)
             if telemetry is not None and extra != page:
                 telemetry.on_readahead_insert((inode_id, extra))
-    if tele_batch is not None:
-        tele_batch.flush()
 
 
 def use_per_page_engine_faults(kernel):

@@ -94,6 +94,17 @@ class TestDiskDevice:
         with pytest.raises(ValueError):
             DiskDevice(zones=(Zone(0.0, 10 * MB), Zone(0.0, 9 * MB)))
 
+    @pytest.mark.parametrize("bandwidth", (0.0, -5e6))
+    def test_zone_bandwidths_must_be_positive(self, bandwidth):
+        with pytest.raises(ValueError):
+            DiskDevice(zones=(Zone(0.0, bandwidth),))
+        with pytest.raises(ValueError):
+            DiskDevice(zones=(Zone(0.0, 10 * MB), Zone(0.5, bandwidth)))
+
+    def test_controller_overhead_must_be_non_negative(self):
+        with pytest.raises(ValueError):
+            DiskDevice(controller_overhead=-0.01)
+
     def test_reset_state_forgets_position(self):
         disk = DiskDevice(rng=_rng())
         disk.read(GB, 4096)

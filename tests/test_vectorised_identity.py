@@ -1,52 +1,55 @@
-"""Property tests: the vectorised fault path is bit-identical to scalar.
+"""Property tests: the batched fault path is bit-identical to scalar.
 
-The numpy fast paths (run-batched device math in ``Device.read_run``,
-the kernel's batched one-page clusters, and the deferred telemetry
-fan-in) promise *exact* equality with the scalar reference code, not
-approximation.  Every vectorised-path test here runs the same
-deterministic workload twice — once with
-:func:`repro.devices.batch.set_enabled` forcing the vectorised path,
-once on the scalar reference: numpy device math off and the blocking
-fault path routed through the per-page oracle loop
-(``tests/oracles/kernel.py``) — and asserts the results match bit for
-bit:
+The fast paths (run-priced device reads in ``Device.read_run``, the
+kernel's batched one-page clusters, and the deferred telemetry fan-in)
+promise *exact* equality with the scalar reference code, not
+approximation.  Each test runs the same deterministic workload on the
+production path and on the reference and asserts the results match bit
+for bit:
 
 * full workloads (async striding readers + a blocking fault storm)
-  across all four filesystem personalities, on the page cache's run
-  index and on the page-set reference (``tests/oracles/residency.py``),
+  across all four filesystem personalities, against the per-page oracle
+  loops (``tests/oracles/kernel.py``), on the page cache's run index and
+  on the page-set reference (``tests/oracles/residency.py``),
   fingerprinting the clock, per-category charges, fault counters,
   per-task stats, per-device stats/component totals, and the final SLED
   vector;
-* the per-device batch kernels against a scalar read loop over
-  randomized run layouts — durations, running stats, busy horizon,
-  component totals, and rng stream alignment;
+* ``read_run`` on every device class with a continuation model against a
+  loop of scalar ``read`` calls, over randomized runs across each
+  device's whole capacity and fixed disk runs across every zone edge —
+  durations, running stats, busy horizon, component totals, position
+  and rng stream alignment;
+* ``read_run`` declining before any state moves, and a workload whose
+  runs all decline matching the batched one;
 * the run-based SLED build (residency runs plus batched span
   estimates) against the paper's literal per-page walk
   (``tests/oracles/builder.py``), with and without queue delays, on
   multi-page resident runs and on random residency;
-* the telemetry fan-in (``TelemetryBatch``) against immediate per-fault
-  ``on_fault`` calls, comparing whole telemetry exports;
-* the no-numpy fallback: with the batch module's numpy knocked out the
-  library still runs workloads, ``read_run`` declines, and the results
-  still match the vectorised ones.
+* the telemetry fan-in (``TelemetryBatch``) against the per-page oracle
+  loops' immediate ``on_fault`` calls, comparing whole telemetry exports.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.block.merge import BlockConfig
 from repro.core.builder import build_sled_vector
-from repro.devices import batch
+from repro.devices.base import Device
 from repro.devices.cdrom import CdromDevice
 from repro.devices.disk import DiskDevice
 from repro.devices.flash import FlashDevice
 from repro.devices.memory import MemoryDevice
 from repro.devices.network import NfsDevice
+from repro.devices.raid import Raid1
+from repro.devices.tape import TapeCartridge, TapeDevice
 from repro.fs import inode as inode_mod
 from repro.machine import Machine
 from repro.obs.telemetry import Telemetry
@@ -54,22 +57,13 @@ from repro.sim.tasks import EventScheduler, Task
 from repro.sim.units import PAGE_SIZE
 
 from tests.oracles.builder import build_sled_vector_full_walk
-from tests.oracles.kernel import use_per_page_faults
+from tests.oracles.kernel import (use_per_page_engine_faults,
+                                  use_per_page_faults)
 from tests.oracles.residency import use_set_residency
 
 PROFILES = ("ext2", "cdrom", "nfs", "hsm")
 
 MERGE_ALL = BlockConfig(merge=True, plug=True)
-
-
-def _with_batch(flag, fn, *args):
-    """Run ``fn(*args)`` with the vectorised path forced on/off,
-    restoring the environment-driven default afterwards."""
-    batch.set_enabled(flag)
-    try:
-        return fn(*args)
-    finally:
-        batch.set_enabled(None)
 
 
 def _setup(profile: str, seed: int, pages: int, set_index: bool = False):
@@ -133,12 +127,22 @@ def _fingerprint(machine, stats):
     )
 
 
+def _observed(device):
+    """Attach a bare observer: it watches every access, so every
+    ``read_run`` declines."""
+    device.observer = SimpleNamespace(
+        on_device_access=lambda *args, **kwargs: None)
+
+
 def _run(profile: str, seed: int, pages: int, set_index: bool = False,
-         oracle: bool = False):
+         oracle: bool = False, observed: bool = False):
     machine, path = _setup(profile, seed, pages, set_index)
     kernel = machine.kernel
     if oracle:
         use_per_page_faults(kernel)
+    if observed:
+        for fs in machine.filesystems.values():
+            _observed(fs.device)
     engine = kernel.attach_engine(block=MERGE_ALL)
     tasks = _striding_readers(kernel, path, pages)
     stats = EventScheduler(kernel, tasks, engine=engine).run()
@@ -162,18 +166,15 @@ def _run(profile: str, seed: int, pages: int, set_index: bool = False,
 @given(seed=st.integers(0, 50), pages=st.integers(2, 40))
 def test_vectorised_workloads_bit_identical(seed, pages):
     for profile in PROFILES:
-        # every reference at once: scalar device math, the per-page
-        # fault loop and the page-set index
-        reference = _with_batch(False, _run, profile, seed, pages, True,
-                                True)
-        for vectorised, set_index in ((False, False), (True, True),
-                                      (True, False)):
-            candidate = _with_batch(vectorised, _run, profile, seed, pages,
-                                    set_index, not vectorised)
+        # every reference at once: the per-page fault loop and the
+        # page-set index
+        reference = _run(profile, seed, pages, set_index=True, oracle=True)
+        for set_index, oracle in ((False, True), (True, False),
+                                  (False, False)):
+            candidate = _run(profile, seed, pages, set_index, oracle)
             assert candidate == reference, (
-                f"{profile} (vectorised={vectorised}, "
-                f"set_index={set_index}): diverged from the scalar "
-                f"reference")
+                f"{profile} (set_index={set_index}, oracle={oracle}): "
+                f"diverged from the per-page reference")
 
 
 DEVICE_FACTORIES = (
@@ -185,36 +186,154 @@ DEVICE_FACTORIES = (
 )
 
 
-@settings(max_examples=8, deadline=None)
+def _assert_run_matches_reads(device, twin, addr, npages):
+    """``device.read_run`` equals a loop of ``twin.read`` calls in its
+    durations and in the state both devices are left in."""
+    durations = device.read_run(addr, npages, PAGE_SIZE)
+    assert durations is not None, (
+        f"{type(device).__name__} declined a run")
+    expected = [twin.read(addr + i * PAGE_SIZE, PAGE_SIZE)
+                for i in range(npages)]
+    assert durations == expected, (
+        f"{type(device).__name__}: {npages} pages from {addr}")
+    assert device.stats == twin.stats
+    assert device.busy_until == twin.busy_until
+    assert device.component_totals == twin.component_totals
+    assert device.head_pos == twin.head_pos
+
+
+def _assert_rng_aligned(device, twin):
+    # the next non-sequential access draws the same randomness on both
+    probe = device.capacity // 3
+    assert device.read(probe, PAGE_SIZE) == twin.read(probe, PAGE_SIZE)
+
+
+@settings(deadline=None)
 @given(seed=st.integers(0, 1000),
-       runs=st.lists(st.tuples(st.integers(0, 4000), st.integers(1, 64)),
+       runs=st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 2**32)),
+                               st.integers(1, 64)),
                      min_size=1, max_size=6))
-def test_device_batch_math_matches_scalar(seed, runs):
-    """``read_run`` == a loop of blocking ``read`` calls, bit for bit:
-    per-access durations, running stats, busy horizon, component totals,
-    and the rng stream position afterwards."""
+def test_read_run_matches_scalar_reads(seed, runs):
+    """``read_run`` == a loop of blocking ``read`` calls, bit for bit,
+    on every device class with a continuation model, for runs anywhere
+    on the device: a run placed at ``None`` continues the previous one,
+    so its first page is a continuation too."""
     for make in DEVICE_FACTORIES:
-        batch_dev = make(np.random.default_rng(seed))
-        scalar_dev = make(np.random.default_rng(seed))
-        for page_addr, npages in runs:
-            addr = page_addr * PAGE_SIZE
-            durations = _with_batch(
-                True, batch_dev.read_run, addr, npages, PAGE_SIZE)
-            assert durations is not None, (
-                f"{type(batch_dev).__name__} has no batch kernel")
-            expected = [scalar_dev.read(addr + i * PAGE_SIZE, PAGE_SIZE)
-                        for i in range(npages)]
-            assert list(durations) == expected
-        assert batch_dev.stats.reads == scalar_dev.stats.reads
-        assert batch_dev.stats.bytes_read == scalar_dev.stats.bytes_read
-        assert batch_dev.stats.busy_time == scalar_dev.stats.busy_time
-        assert batch_dev.busy_until == scalar_dev.busy_until
-        assert batch_dev.component_totals == scalar_dev.component_totals
-        # rng alignment: the next non-sequential access draws the same
-        # randomness on both devices
-        probe = 5000 * PAGE_SIZE
-        assert (batch_dev.read(probe, PAGE_SIZE)
-                == scalar_dev.read(probe, PAGE_SIZE))
+        device = make(np.random.default_rng(seed))
+        twin = make(np.random.default_rng(seed))
+        last_page = device.capacity // PAGE_SIZE
+        next_page = 0
+        for where, npages in runs:
+            if where is None and next_page + npages <= last_page:
+                page = next_page
+            else:
+                page = (where or 0) * (last_page - npages) // 2**32
+            _assert_run_matches_reads(device, twin, page * PAGE_SIZE, npages)
+            next_page = page + npages
+        _assert_rng_aligned(device, twin)
+
+
+def _zone_edge_pages(disk):
+    """The first page of each zone after the first: where ``zone_index``
+    of a page's address changes."""
+    pages = range(disk.capacity // PAGE_SIZE)
+    return [bisect_right(pages, index,
+                         key=lambda page: disk.zone_index(page * PAGE_SIZE))
+            for index in range(len(disk.zones) - 1)]
+
+
+@pytest.mark.parametrize("lead_in", (False, True))
+def test_read_run_across_disk_zone_edges(lead_in):
+    """Disk runs that start just before, at and just after each zone
+    edge match the scalar reads: a stretch of equal cost ends where the
+    zone does.  With ``lead_in`` a scalar read of the page before each
+    run makes its first page a continuation; without, it seeks."""
+    device = DiskDevice(rng=np.random.default_rng(3))
+    twin = DiskDevice(rng=np.random.default_rng(3))
+    edges = _zone_edge_pages(device)
+    assert len(edges) == len(device.zones) - 1
+    for edge in edges:
+        for offset in (-3, -1, 0, 1):
+            for npages in (1, 2, 5, 64):
+                addr = (edge + offset) * PAGE_SIZE
+                if lead_in:
+                    assert (device.read(addr - PAGE_SIZE, PAGE_SIZE)
+                            == twin.read(addr - PAGE_SIZE, PAGE_SIZE))
+                _assert_run_matches_reads(device, twin, addr, npages)
+    _assert_rng_aligned(device, twin)
+
+
+def _tape(rng):
+    tape = TapeDevice(rng=rng)
+    tape.load(TapeCartridge("VOL000"))
+    return tape
+
+
+def _raid(rng):
+    return Raid1([DiskDevice(name=f"m{i}", rng=np.random.default_rng(i))
+                  for i in range(2)], rng=rng)
+
+
+DECLINES = {
+    "observer": (DiskDevice, _observed),
+    "failures": (DiskDevice, lambda device: device.inject_failures(1)),
+    "bad range": (NfsDevice,
+                  lambda device: device.mark_bad_range(512 * PAGE_SIZE,
+                                                       PAGE_SIZE)),
+    "nfs server cache": (
+        lambda rng: NfsDevice(server_cache_bytes=1 << 20, rng=rng),
+        lambda device: None),
+    "tape": (_tape, lambda device: None),
+    "raid": (_raid, lambda device: None),
+}
+
+
+def _state(device):
+    """Everything a declined ``read_run`` must leave as it found it; the
+    rng's next draw last, since it consumes it."""
+    loaded = getattr(device, "loaded", None)
+    return (device.stats, device.busy_until,
+            dict(device.component_totals), device.head_pos,
+            getattr(device, "_next_sequential", None),
+            loaded.position if loaded is not None else None,
+            tuple(_state(member) for member in getattr(device, "members",
+                                                       ())),
+            device.rng.random())
+
+
+@pytest.mark.parametrize("case", sorted(DECLINES))
+def test_read_run_declines_before_state_moves(case):
+    make, arm = DECLINES[case]
+    device = make(np.random.default_rng(9))
+    twin = make(np.random.default_rng(9))
+    for each in (device, twin):
+        each.read(4 * PAGE_SIZE, PAGE_SIZE)
+    arm(device)
+    # a continuation run and a seeking one
+    assert device.read_run(5 * PAGE_SIZE, 16, PAGE_SIZE) is None
+    assert device.read_run(1024 * PAGE_SIZE, 16, PAGE_SIZE) is None
+    assert _state(device) == _state(twin)
+
+
+def test_declined_runs_match_batched_runs(monkeypatch):
+    """With every ``read_run`` declining, the kernel faults each page on
+    its own, and the workload's outcome equals the batched one.  The
+    file is larger than the cache, so the blocking sweeps fault."""
+    returned = []
+    read_run = Device.read_run
+
+    def recording(device, *args):
+        durations = read_run(device, *args)
+        returned.append(durations)
+        return durations
+
+    monkeypatch.setattr(Device, "read_run", recording)
+    batched = _run("ext2", seed=3, pages=320)
+    assert returned and all(durations is not None for durations in returned)
+    returned.clear()
+    declined = _run("ext2", seed=3, pages=320, observed=True)
+    assert returned and all(durations is None for durations in returned)
+    assert declined == batched
 
 
 def _sled_inputs(profile: str):
@@ -282,8 +401,8 @@ def test_sled_build_random_residency_identical(mask):
 
 def test_telemetry_fanin_identical():
     """Deferred fan-in (``TelemetryBatch``) produces byte-identical
-    telemetry exports to immediate per-fault ``on_fault`` calls (with
-    the blocking sweep on the per-page oracle loop).
+    telemetry exports to immediate per-fault ``on_fault`` calls: the
+    kernel against both per-page oracle loops, blocking and engine.
 
     Inode ids come from a process-global counter, so both runs pin it to
     the same start — telemetry keys spans by inode id and the exports
@@ -297,6 +416,7 @@ def test_telemetry_fanin_identical():
             kernel = machine.kernel
             if oracle:
                 use_per_page_faults(kernel)
+                use_per_page_engine_faults(kernel)
             telemetry = Telemetry()
             telemetry.attach(kernel)
             engine = kernel.attach_engine(block=MERGE_ALL)
@@ -310,23 +430,7 @@ def test_telemetry_fanin_identical():
         finally:
             inode_mod._inode_ids = saved
 
-    scalar_dict, scalar_trace = _with_batch(False, run, True)
-    batch_dict, batch_trace = _with_batch(True, run)
-    assert batch_dict == scalar_dict
-    assert batch_trace == scalar_trace
-
-
-def test_scalar_fallback_without_numpy(monkeypatch):
-    """With numpy knocked out of the batch layer the library still runs
-    every workload — ``read_run`` declines, the kernel faults those pages
-    one by one, and results match the vectorised run."""
-    vector = _run("ext2", seed=3, pages=24)
-
-    with monkeypatch.context() as m:
-        m.setattr(batch, "_np", None)
-        assert not batch.enabled()
-        device = DiskDevice(rng=np.random.default_rng(1))
-        assert device.read_run(0, 8, PAGE_SIZE) is None
-        fallback = _run("ext2", seed=3, pages=24)
-
-    assert fallback == vector
+    oracle_dict, oracle_trace = run(oracle=True)
+    batch_dict, batch_trace = run()
+    assert batch_dict == oracle_dict
+    assert batch_trace == oracle_trace
