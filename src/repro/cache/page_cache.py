@@ -408,7 +408,7 @@ class PageCache:
         """
         profiler = self.profiler
         t0 = profiler.begin() if profiler is not None else 0.0
-        shard = self._shard_of(key)
+        shard = self._shards[key[0] % self._nshards]
         if key in self._resident:
             shard.policy.on_hit(key)
             evicted = None
@@ -474,12 +474,13 @@ class PageCache:
         policy = shard.policy
         profiler = self.profiler
         t0 = profiler.begin() if profiler is not None else 0.0
-        if not (tenant is None and self._nshards == 1
+        resident = self._resident
+        if not ((inode_id, start) not in resident
+                and tenant is None and self._nshards == 1
                 and not self._pinned and self.observer is None
                 and not self._tenant_limits and not self._page_tenant
                 and type(policy) is LruPolicy and n <= shard.capacity
                 and not self._index.any_in(inode_id, start, n)):
-            resident = self._resident
             insert_new = self._insert_new
             for page in range(start, start + n):
                 key = (inode_id, page)
@@ -493,7 +494,6 @@ class PageCache:
         need = shard.count + n - shard.capacity
         generations = self._generations
         if need > 0:
-            resident = self._resident
             index = self._index
             # group consecutive same-inode victims into index run-discards
             run_inode = run_start = run_len = None
@@ -515,8 +515,8 @@ class PageCache:
             self.stats.evictions += need
             if self.eviction_sink is not None:
                 self.eviction_sink.note_evictions(need, None)
-        self._resident.update([(inode_id, page)
-                               for page in range(start, start + n)])
+        resident.update([(inode_id, page)
+                         for page in range(start, start + n)])
         self._index.add_run(inode_id, start, n)
         generations[inode_id] = generations.get(inode_id, 0) + n
         policy.on_insert_run(inode_id, start, n)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import partial, wraps
 from typing import Iterator
 
 from repro.cache.page_cache import PageCache
@@ -396,7 +396,7 @@ class Kernel:
         last_of_unlinked = inode.id in self._unlinked and sum(
             other.inode is inode for other in self._fds.values()) == 1
         if not last_of_unlinked:
-            self._flush_inode(inode.id)
+            self._flush((inode.id,))
         del self._fds[fd]
         if last_of_unlinked:
             # the file's dirty pages die with it; its space goes back
@@ -873,57 +873,52 @@ class Kernel:
         of = self._fd(fd)
         return MappedRegion(self, of)
 
-    @_syscall_span("write")
-    def write(self, fd: int, data: bytes) -> int:
-        self._syscall("write")
+    def _writable(self, fd: int) -> OpenFile:
+        """The open file behind ``fd``, open for writing on a writable
+        filesystem."""
         of = self._fd(fd)
         if not of.writable:
             raise BadFileDescriptorError(f"fd {fd} not open for writing")
         if of.fs.read_only:
             raise ReadOnlyFilesystemError(
                 f"filesystem {of.fs.name!r} is read-only")
+        return of
+
+    @_syscall_span("write")
+    def write(self, fd: int, data: bytes) -> int:
+        """Write at the offset (in append mode, the end of the file) and
+        move it past the bytes before any threshold flush."""
+        self._syscall("write")
+        of = self._writable(fd)
         if not data:
             return 0
-        inode = of.inode
         if of.append:
-            of.pos = inode.size
-        end = of.pos + len(data)
-        if end > inode.size:
-            of.fs.grow_file(inode, end)
-        try:
-            inode.content.write(of.pos, data)
-        except ReadOnlyFilesystemError:
-            # immutable content store (synthetic text, zeros): upgrade to
-            # a copy-on-write overlay the first time the file is written
-            from repro.fs.content import CowContent
-            inode.content = CowContent(inode.content)
-            inode.content.write(of.pos, data)
-        self._charge_memory(len(data))
-        dirty = self._dirty.setdefault(inode.id, (of.fs, inode, set()))[2]
-        for page in page_span(of.pos, len(data)):
-            self.page_cache.insert((inode.id, page), self.current_tenant)
-            dirty.add(page)
-        self.counters.bytes_written += len(data)
-        of.pos = end
-        inode.mtime = self.clock.now
-        if len(dirty) >= self.writeback_threshold_pages:
-            self._flush_inode(inode.id)
+            of.pos = of.inode.size
+        flush = self._write_span(of, of.pos, data)
+        of.pos += len(data)
+        if flush:
+            self._flush((of.inode.id,))
         return len(data)
 
     @_syscall_span("pwrite")
     def pwrite(self, fd: int, offset: int, data: bytes) -> int:
         """Positional write; does not move the file offset."""
         self._syscall("pwrite")
-        of = self._fd(fd)
-        if not of.writable:
-            raise BadFileDescriptorError(f"fd {fd} not open for writing")
-        if of.fs.read_only:
-            raise ReadOnlyFilesystemError(
-                f"filesystem {of.fs.name!r} is read-only")
+        of = self._writable(fd)
         if offset < 0:
             raise InvalidArgumentError(f"negative offset: {offset}")
         if not data:
             return 0
+        if self._write_span(of, offset, data):
+            self._flush((of.inode.id,))
+        return len(data)
+
+    def _write_span(self, of: OpenFile, offset: int, data: bytes) -> bool:
+        """Write ``data`` at ``offset``, the span step both write syscalls
+        share: store the bytes (growing the file), charge the copy, make
+        the span's pages resident with one ``insert_run`` and mark them
+        dirty.  Returns whether the inode's dirty pages reached the
+        writeback threshold."""
         inode = of.inode
         end = offset + len(data)
         if end > inode.size:
@@ -931,170 +926,136 @@ class Kernel:
         try:
             inode.content.write(offset, data)
         except ReadOnlyFilesystemError:
+            # immutable content store (synthetic text, zeros): upgrade to
+            # a copy-on-write overlay the first time the file is written
             from repro.fs.content import CowContent
             inode.content = CowContent(inode.content)
             inode.content.write(offset, data)
         self._charge_memory(len(data))
+        first = offset // PAGE_SIZE
+        n = (end - 1) // PAGE_SIZE + 1 - first
+        self.page_cache.insert_run(inode.id, first, n, self.current_tenant)
         dirty = self._dirty.setdefault(inode.id, (of.fs, inode, set()))[2]
-        for page in page_span(offset, len(data)):
-            self.page_cache.insert((inode.id, page), self.current_tenant)
-            dirty.add(page)
+        dirty.update(range(first, first + n))
         self.counters.bytes_written += len(data)
         inode.mtime = self.clock.now
-        if len(dirty) >= self.writeback_threshold_pages:
-            self._flush_inode(inode.id)
-        return len(data)
+        return len(dirty) >= self.writeback_threshold_pages
 
     @_syscall_span("fsync")
     def fsync(self, fd: int) -> None:
         self._syscall("fsync")
-        of = self._fd(fd)
-        self._flush_inode(of.inode.id)
+        self._flush((self._fd(fd).inode.id,))
 
     def sync(self) -> None:
-        """Flush every dirty page in the system.
+        """Flush every dirty page in the system: one :meth:`_flush` per
+        filesystem, in the order their files first became dirty.  A
+        failed flush raises and leaves its own files and those of every
+        filesystem after it dirty."""
+        by_fs: dict[int, list[int]] = {}
+        for inode_id, (fs, _, _) in self._dirty.items():
+            by_fs.setdefault(id(fs), []).append(inode_id)
+        for inode_ids in by_fs.values():
+            self._flush(inode_ids)
 
-        Dirty runs from *all* files on a filesystem flush as one batch
-        through the I/O scheduler, so scattered cross-file writeback
-        becomes an elevator sweep rather than FCFS seek chains.
-        """
-        by_fs: dict[int, tuple[FileSystem, list]] = {}
-        for inode_id in list(self._dirty):
-            fs, inode, pages = self._dirty.pop(inode_id)
-            by_fs.setdefault(id(fs), (fs, []))[1].append((inode, pages))
-        for fs, dirty_files in by_fs.values():
-            try:
-                self._writeback(fs, dirty_files)
-            except Exception:
-                # a failed flush must not lose the dirty state: re-register
-                # so a retry (or the next sync) writes the data
-                for inode, pages in dirty_files:
-                    self._dirty.setdefault(
-                        inode.id, (fs, inode, set()))[2].update(pages)
-                raise
+    def _flush(self, inode_ids) -> None:
+        """The blocking flush of the dirty pages of ``inode_ids``, files
+        of one filesystem: take them out of the dirty table and service
+        their :meth:`_writeback_plan`.  A plain filesystem's batch goes
+        through the I/O scheduler in one ``submit_batch`` (an elevator
+        sweep across files) with one noise draw and clock advance; one
+        with its own write path takes them unit by unit, in page order.
+        The pages count as written once all are done."""
+        from repro.block.scheduler import IoRequest, submit_batch
 
-    def _flush_inode(self, inode_id: int) -> None:
-        entry = self._dirty.pop(inode_id, None)
-        if entry is None:
+        dirty = self._dirty
+        files = [dirty.pop(inode_id) for inode_id in inode_ids
+                 if inode_id in dirty]
+        if not files:
             return
-        fs, inode, pages = entry
+        device = files[0][0].device
+        category = device.time_category
         try:
-            self._writeback(fs, [(inode, pages)])
+            plain, units = self._writeback_plan(files)
+            if plain:
+                if self.telemetry is not None:
+                    self.telemetry.on_queue_depth(device, len(units))
+                seconds = submit_batch(
+                    device, [IoRequest(addr=addr, nbytes=nbytes,
+                                       is_write=True)
+                             for addr, nbytes, _, _ in units],
+                    self.io_scheduler)
+                self.clock.advance(self._noisy(seconds), category)
+            else:
+                for _, _, _, write in units:
+                    self.clock.advance(self._noisy(write()), category)
         except Exception:
-            self._dirty.setdefault(
-                inode_id, (fs, inode, set()))[2].update(pages)
+            self._redirty(files)
             raise
+        self.counters.pages_written += sum(len(p) for _, _, p in files)
 
-    def _writeback(self, fs: FileSystem,
-                   dirty_files: list[tuple[Inode, set[int]]]) -> None:
-        """Flush dirty runs of one filesystem, batched via the scheduler
-        when the filesystem has no special write path of its own."""
-        from repro.block.scheduler import submit_batch
-
-        plain_write_path = type(fs).write_pages is FileSystem.write_pages
-        if not plain_write_path:
-            # HSM-style filesystems track staging state in write_pages;
-            # flush run by run through their own path.
-            for inode, pages in dirty_files:
-                for start, run in _contiguous_runs(sorted(pages)):
-                    seconds = fs.write_pages(inode, start, run)
-                    self.clock.advance(self._noisy(seconds),
-                                       fs.device.time_category)
-                    self.counters.pages_written += run
-            return
-        requests, total_pages = self._writeback_requests(dirty_files)
-        if not requests:
-            return
-        if self.telemetry is not None:
-            self.telemetry.on_queue_depth(fs.device, len(requests))
-        seconds = submit_batch(fs.device, requests, self.io_scheduler)
-        self.clock.advance(self._noisy(seconds), fs.device.time_category)
-        self.counters.pages_written += total_pages
-
-    @staticmethod
-    def _writeback_requests(
-            dirty_files: list[tuple[Inode, set[int]]]) -> tuple[list, int]:
-        """The submit half of writeback: dirty page runs -> block-layer
-        requests (split at extent boundaries).  Shared by the blocking
-        batch path and the event-driven :meth:`fsync_async`."""
-        from repro.block.scheduler import IoRequest
-
-        requests = []
-        total_pages = 0
-        for inode, pages in dirty_files:
+    def _writeback_plan(self, files) -> tuple[bool, list]:
+        """Whether the filesystem of dirty ``(fs, inode, pages)`` files
+        is plain, and their ordered ``(addr, nbytes, label, write)``
+        units, where ``write()`` services one and returns its seconds:
+        per device-contiguous piece of each dirty run on a plain
+        filesystem, else (HSM staging) one ``fs.write_pages`` per run."""
+        fs = files[0][0]
+        plain = type(fs).write_pages is FileSystem.write_pages
+        units = []
+        for _, inode, pages in files:
+            label = f"writeback:{fs.name}:{inode.id}"
             for start, run in _contiguous_runs(sorted(pages)):
-                requests.extend(
-                    IoRequest(addr=addr, nbytes=npages * PAGE_SIZE,
-                              is_write=True)
-                    for addr, npages in inode.extent_map.device_runs(
-                        start, run))
-                total_pages += run
-        return requests, total_pages
+                if not plain:
+                    units.append((inode.extent_map.addr_of(start),
+                                  run * PAGE_SIZE, f"{label}:{start}+{run}",
+                                  partial(fs.write_pages, inode, start, run)))
+                    continue
+                for addr, npages in inode.extent_map.device_runs(start, run):
+                    nbytes = npages * PAGE_SIZE
+                    units.append((addr, nbytes, label,
+                                  partial(fs.device.write, addr, nbytes)))
+        return plain, units
+
+    def _redirty(self, files) -> None:
+        """Put the pages of a failed flush's ``(fs, inode, pages)`` files
+        back in the dirty table, so a retry (or the next sync) writes
+        them."""
+        for fs, inode, pages in files:
+            self._dirty.setdefault(
+                inode.id, (fs, inode, set()))[2].update(pages)
 
     def fsync_async(self, fd: int):
-        """``fsync`` as a generator: dirty runs are *submitted* to the
-        engine's device queue (where they contend with other tasks' reads
-        under the elevator) and the caller blocks on their completions.
-        Drive with ``yield from kernel.fsync_async(fd)``.
-        """
+        """``fsync`` as a generator: each unit of the inode's
+        :meth:`_writeback_plan` is *submitted* to the engine's device
+        queue (not a plug), where it contends with other tasks' reads,
+        and the caller blocks on the completions.  Drive with ``yield
+        from kernel.fsync_async(fd)``."""
         self._syscall("fsync")
         of = self._fd(fd)
-        yield from self._writeback_async(of.inode.id)
-
-    def _writeback_async(self, inode_id: int):
-        """The wait half of event-driven writeback for one inode."""
         engine = self.engine
         if engine is None:
             raise InvalidArgumentError(
                 "no I/O engine attached; use the blocking fsync() or "
                 "kernel.attach_engine()")
-        entry = self._dirty.pop(inode_id, None)
+        entry = self._dirty.pop(of.inode.id, None)
         if entry is None:
             return
         fs, inode, pages = entry
         queue = engine.queue_for(fs.device)
-        futures = []
-        plain_write_path = type(fs).write_pages is FileSystem.write_pages
-        if plain_write_path:
-            requests, total_pages = self._writeback_requests(
-                [(inode, pages)])
-            if self.telemetry is not None:
-                self.telemetry.on_queue_depth(fs.device, len(requests))
-            for request in requests:
-                futures.append(queue.submit(
-                    request.addr, request.nbytes, is_write=True,
-                    service=self._traced_service(
-                        fs, ("writeback", inode.id, request.addr),
-                        lambda r=request, device=fs.device:
-                        device.write(r.addr, r.nbytes)),
-                    label=f"writeback:{fs.name}:{inode.id}",
-                    kind="writeback"))
-        else:
-            # HSM-style write paths mutate staging state: one atomic thunk
-            # per dirty run through the filesystem's own write_pages.
-            total_pages = 0
-            for start, run in _contiguous_runs(sorted(pages)):
-                addr = inode.extent_map.addr_of(start)
-                futures.append(queue.submit(
-                    addr, run * PAGE_SIZE, is_write=True,
-                    service=self._traced_service(
-                        fs, ("writeback", inode.id, addr),
-                        lambda inode=inode, start=start, run=run:
-                        fs.write_pages(inode, start, run)),
-                    label=f"writeback:{fs.name}:{inode.id}:{start}+{run}",
-                    kind="writeback"))
-                total_pages += run
-        if not futures:
-            return
+        plain, units = self._writeback_plan([entry])
+        if plain and self.telemetry is not None:
+            self.telemetry.on_queue_depth(fs.device, len(units))
+        futures = [queue.submit(addr, nbytes, is_write=True,
+                                service=self._traced_service(
+                                    fs, ("writeback", inode.id, addr), write),
+                                label=label, kind="writeback")
+                   for addr, nbytes, label, write in units]
         try:
             yield futures
         except Exception:
-            # a failed flush must not lose the dirty state (parity with
-            # the blocking path): re-register so a retry writes the data
-            self._dirty.setdefault(
-                inode_id, (fs, inode, set()))[2].update(pages)
+            self._redirty([entry])
             raise
-        self.counters.pages_written += total_pages
+        self.counters.pages_written += len(pages)
         if self.telemetry is not None:
             for future in futures:
                 if future.value is not None:

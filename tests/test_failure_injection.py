@@ -7,6 +7,7 @@ from repro.apps.wc import wc
 from repro.devices.disk import DiskDevice
 from repro.machine import Machine
 from repro.sim.errors import IoSimError
+from repro.sim.tasks import EventScheduler, Task
 from repro.sim.units import PAGE_SIZE
 
 
@@ -145,3 +146,107 @@ class TestKernelPropagation:
         k.fsync(fd)  # the retry must actually write the data
         assert k.counters.pages_written == before + 2
         k.close(fd)
+
+
+class TestWritebackFailures:
+    """Failed flushes on every write path keep their pages dirty and
+    count them written once, when a retry succeeds."""
+
+    def test_failed_sync_keeps_later_filesystems_dirty(self):
+        """A sync whose first filesystem fails leaves the files of the
+        filesystems after it dirty as well; the retry writes both."""
+        machine = _machine()
+        k = machine.kernel
+        local = k.open("/mnt/ext2/a.dat", "w")
+        remote = k.open("/mnt/nfs/b.dat", "w")
+        k.write(local, b"a" * PAGE_SIZE)
+        k.write(remote, b"b" * PAGE_SIZE)
+        machine.ext2.device.inject_failures(1)
+        with pytest.raises(IoSimError):
+            k.sync()
+        assert sorted((fs.name, sorted(pages))
+                      for fs, _, pages in k._dirty.values()) == [
+            ("ext2", [0]), ("nfs", [0])]
+        before = k.counters.pages_written
+        k.sync()
+        assert k.counters.pages_written == before + 2
+        assert not k._dirty
+
+    def test_failed_hsm_flush_counts_pages_once(self):
+        """The blocking HSM flush writes run by run; a failing later run
+        leaves every page dirty and none counted, so the retry counts
+        each dirty page once."""
+        machine = Machine.hsm(cache_pages=64, seed=801)
+        machine.boot()
+        fs = machine.hsmfs
+        fs.create_tape_file("h.dat", 4 * PAGE_SIZE, "VOL000")
+        k = machine.kernel
+        fd = k.open("/mnt/hsm/h.dat", "r+")
+        k.pwrite(fd, 0, b"h" * PAGE_SIZE)
+        k.pwrite(fd, 2 * PAGE_SIZE, b"h" * PAGE_SIZE)
+        inode = k._fd(fd).inode
+        fs.device.mark_bad_range(inode.extent_map.addr_of(2), PAGE_SIZE)
+        before = k.counters.pages_written
+        with pytest.raises(IoSimError):
+            k.fsync(fd)
+        assert k.counters.pages_written == before
+        assert sorted(k._dirty[inode.id][2]) == [0, 2]
+        fs.device.clear_failures()
+        k.fsync(fd)
+        assert k.counters.pages_written == before + 2
+
+    @pytest.mark.parametrize("profile", ["ext2", "hsm"])
+    def test_failed_fsync_async_keeps_pages_dirty(self, profile):
+        """Under the engine, a bad range under the second dirty page
+        fails the task's flush: both pages stay dirty, none is counted,
+        and the retry writes exactly two."""
+        if profile == "hsm":
+            machine = Machine.hsm(cache_pages=64, seed=801)
+            machine.boot()
+            machine.hsmfs.create_tape_file("f", 4 * PAGE_SIZE, "VOL000")
+            path, mode = "/mnt/hsm/f", "r+"
+        else:
+            machine = _machine()
+            path, mode = "/mnt/ext2/f", "w"
+        k = machine.kernel
+        engine = k.attach_engine()
+        fd = k.open(path, mode)
+        k.pwrite(fd, 0, b"e" * PAGE_SIZE)
+        k.pwrite(fd, 2 * PAGE_SIZE, b"e" * PAGE_SIZE)
+        of = k._fd(fd)
+        of.fs.device.mark_bad_range(of.inode.extent_map.addr_of(2),
+                                    PAGE_SIZE)
+        errors = []
+
+        def flusher():
+            try:
+                yield from k.fsync_async(fd)
+            except IoSimError as exc:
+                errors.append(exc)
+
+        before = k.counters.pages_written
+        EventScheduler(k, [Task("flush", flusher())], engine=engine).run()
+        assert len(errors) == 1
+        assert sorted(k._dirty[of.inode.id][2]) == [0, 2]
+        assert k.counters.pages_written == before
+        of.fs.device.clear_failures()
+        EventScheduler(k, [Task("retry", flusher())], engine=engine).run()
+        assert len(errors) == 1
+        assert not k._dirty
+        assert k.counters.pages_written == before + 2
+
+    def test_failed_threshold_flush_moves_offset_keeps_pages_dirty(self):
+        """``write`` moves its offset before the threshold flush: when
+        that flush fails, the offset and size have still advanced and
+        every page stays dirty."""
+        machine = _machine()
+        k = machine.kernel
+        assert k.writeback_threshold_pages == 256
+        fd = k.open("/mnt/ext2/big.dat", "w")
+        k.write(fd, b"t" * (255 * PAGE_SIZE))
+        machine.ext2.device.inject_failures(1)
+        with pytest.raises(IoSimError):
+            k.write(fd, b"t" * PAGE_SIZE)
+        of = k._fd(fd)
+        assert of.pos == of.inode.size == 1 << 20
+        assert sorted(k._dirty[of.inode.id][2]) == list(range(256))
