@@ -26,7 +26,9 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 
+from repro.devices.base import Completion
 from repro.sim.errors import InvalidArgumentError
+from repro.sim.events import IoFuture
 
 
 @dataclass(frozen=True, slots=True)
@@ -450,8 +452,6 @@ class DeviceQueue:
         names the request's provenance in the dispatch history (``fault``
         / ``prefetch`` / ``writeback``; default ``io`` for raw submits).
         """
-        from repro.sim.events import IoFuture
-
         now = self.loop.clock.now
         if submit_time is None:
             submit_time = now
@@ -534,8 +534,6 @@ class DeviceQueue:
         done-callback that submits while the loop runs only queues its
         request; the loop starts it (or whatever the elevator prefers)
         next, so at most one request is ever in service."""
-        from repro.devices.base import Completion
-
         if self._dispatching:
             return
         self._dispatching = True
@@ -559,11 +557,9 @@ class DeviceQueue:
                 try:
                     if service is not None:
                         duration = service()
-                        completion = Completion.new(
-                            device_name=self.device.name, addr=request.addr,
-                            nbytes=request.nbytes, is_write=request.is_write,
-                            submit_time=submit_time, start_time=now,
-                            duration=duration)
+                        completion = Completion(
+                            self.device.name, request.addr, request.nbytes,
+                            request.is_write, submit_time, now, duration)
                     else:
                         # freshly built and solely owned: backdate in place
                         # rather than allocating a copy

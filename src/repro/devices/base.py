@@ -18,9 +18,11 @@ models).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from repro.sim.errors import IoSimError
 
 
 @dataclass(frozen=True)
@@ -75,20 +77,15 @@ class Completion:
     ``duration`` the service time alone — so ``queue_wait`` is pure
     head-of-line blocking, never transfer time.
 
-    A slotted, slab-allocated record: one is created per device request
-    (every fault, writeback, and prefetch), which at millions of faults
-    per run made completions the dominant allocation.  :meth:`new` draws
-    from a free list, and the blocking ``read``/``write``/``read_spans``
-    wrappers — where the completion provably never escapes — return it
-    via :meth:`recycle`.  Async completions stay ordinary garbage: their
-    lifetime is owned by futures and the lifecycle log.
+    A slotted record of a request whose outcome outlives the call: the
+    block layer builds one per queued request, directly or through
+    :meth:`Device.submit`, and its future and the lifecycle log own it.
+    The blocking :meth:`Device.read` and :meth:`Device.write` build none;
+    they return the duration alone.
     """
 
     __slots__ = ("device_name", "addr", "nbytes", "is_write", "submit_time",
                  "start_time", "duration", "merged", "merged_from")
-
-    _pool: list["Completion"] = []
-    _POOL_CAP = 4096
 
     def __init__(self, device_name: str, addr: int, nbytes: int,
                  is_write: bool, submit_time: float, start_time: float,
@@ -109,41 +106,9 @@ class Completion:
         #: (the one that records the union in the lifecycle log)
         self.merged_from = merged_from
 
-    @classmethod
-    def new(cls, device_name: str, addr: int, nbytes: int, is_write: bool,
-            submit_time: float, start_time: float, duration: float,
-            merged: bool = False, merged_from: tuple = ()) -> "Completion":
-        """Slab-allocating constructor: reuse a recycled shell if any."""
-        pool = cls._pool
-        if pool:
-            self = pool.pop()
-            self.device_name = device_name
-            self.addr = addr
-            self.nbytes = nbytes
-            self.is_write = is_write
-            self.submit_time = submit_time
-            self.start_time = start_time
-            self.duration = duration
-            self.merged = merged
-            self.merged_from = merged_from
-            return self
-        return cls(device_name, addr, nbytes, is_write, submit_time,
-                   start_time, duration, merged, merged_from)
-
-    def recycle(self) -> None:
-        """Return this completion to the slab.
-
-        Only for owners certain no other reference survives — the
-        blocking submit-and-drain wrappers.
-        """
-        pool = Completion._pool
-        if len(pool) < Completion._POOL_CAP:
-            self.merged_from = ()  # don't pin provenance tuples
-            pool.append(self)
-
     def replace(self, **changes) -> "Completion":
-        """A fresh (slab-drawn) copy with ``changes`` applied — the
-        ``dataclasses.replace`` equivalent for this slotted class."""
+        """A copy with ``changes`` applied — the ``dataclasses.replace``
+        equivalent for this slotted class."""
         fields = {
             "device_name": self.device_name, "addr": self.addr,
             "nbytes": self.nbytes, "is_write": self.is_write,
@@ -152,7 +117,7 @@ class Completion:
             "merged_from": self.merged_from,
         }
         fields.update(changes)
-        return Completion.new(**fields)
+        return Completion(**fields)
 
     @property
     def finish_time(self) -> float:
@@ -267,31 +232,61 @@ class Device(ABC):
         the device is busy (``now < busy_until``) starts service at the
         busy horizon and records the difference as queue wait.  When
         ``now`` is omitted the request is treated as arriving exactly when
-        the device frees up — the synchronous, never-queueing regime the
-        blocking :meth:`read`/:meth:`write` wrappers rely on.
+        the device frees up — the never-queueing regime of the blocking
+        :meth:`read`/:meth:`write`, which leave the same state behind and
+        return this completion's ``duration`` without building it.
+        """
+        return self._place(addr, nbytes, is_write, now,
+                           self._serve(addr, nbytes, is_write))
+
+    def _serve(self, addr: int, nbytes: int, is_write: bool) -> float:
+        """Check, price and account one request; returns its duration.
+
+        The step every single-span request takes, submitted or blocking:
+        the bounds, armed-failure and bad-range checks, then
+        :meth:`_access_time`, then the component totals, stats and busy
+        time.  It moves neither the busy horizon nor the observer; the
+        caller places the request in time.
         """
         self._check(addr, nbytes)
         self._maybe_fail(addr, nbytes, is_write)
-        submit_time = self.busy_until if now is None else now
-        start = max(submit_time, self.busy_until)
         self._last_components = None
         duration = self._access_time(addr, nbytes, is_write)
         components = self._last_components
         if components is None:
             components = {"transfer": duration}
         self._last_components = None
+        self._account(components, nbytes, duration, is_write)
+        return duration
+
+    def _account(self, components: dict[str, float], nbytes: int,
+                 duration: float, is_write: bool) -> None:
+        """Add one priced request to the component totals (writes under
+        ``write_`` names), the request and byte counts and the busy
+        time."""
         prefix = "write_" if is_write else ""
         totals = self.component_totals
         for part, seconds in components.items():
             key = prefix + part
             totals[key] = totals.get(key, 0.0) + seconds
+        stats = self.stats
         if is_write:
-            self.stats.writes += 1
-            self.stats.bytes_written += nbytes
+            stats.writes += 1
+            stats.bytes_written += nbytes
         else:
-            self.stats.reads += 1
-            self.stats.bytes_read += nbytes
-        self.stats.busy_time += duration
+            stats.reads += 1
+            stats.bytes_read += nbytes
+        stats.busy_time += duration
+
+    def _place(self, addr: int, nbytes: int, is_write: bool,
+               now: float | None, duration: float) -> Completion:
+        """Place a priced request in time and return its completion: it
+        arrives at ``now`` (default: the busy horizon), starts at the
+        later of that and the horizon, waits for the difference and
+        moves the horizon past its service."""
+        busy = self.busy_until
+        submit_time = busy if now is None else now
+        start = max(submit_time, busy)
         wait = start - submit_time
         if wait > 0.0:
             self.stats.queue_wait_time += wait
@@ -300,10 +295,8 @@ class Device(ABC):
         if self.observer is not None:
             self.observer.on_device_access(self, addr, nbytes, duration,
                                            is_write=is_write)
-        return Completion.new(device_name=self.name, addr=addr,
-                              nbytes=nbytes, is_write=is_write,
-                              submit_time=submit_time, start_time=start,
-                              duration=duration)
+        return Completion(self.name, addr, nbytes, is_write, submit_time,
+                          start, duration)
 
     @staticmethod
     def _components(**parts: float) -> dict[str, float]:
@@ -353,8 +346,6 @@ class Device(ABC):
         self._maybe_fail(*spans[0], is_write)
         for addr, nbytes in spans[1:]:
             self._check_bad_ranges(addr, nbytes, is_write)
-        submit_time = self.busy_until if now is None else now
-        start = max(submit_time, self.busy_until)
         duration = 0.0
         payload = 0
         components: dict[str, float] = {}
@@ -385,50 +376,32 @@ class Device(ABC):
             payload += nbytes
             expected = addr + nbytes
 
-        prefix = "write_" if is_write else ""
-        totals = self.component_totals
-        for part, seconds in components.items():
-            key = prefix + part
-            totals[key] = totals.get(key, 0.0) + seconds
-        if is_write:
-            self.stats.writes += 1
-            self.stats.bytes_written += payload
-        else:
-            self.stats.reads += 1
-            self.stats.bytes_read += payload
-        self.stats.busy_time += duration
-        wait = start - submit_time
-        if wait > 0.0:
-            self.stats.queue_wait_time += wait
-            self.stats.queued_requests += 1
-        self.busy_until = start + duration
-        if self.observer is not None:
-            self.observer.on_device_access(self, spans[0][0], payload,
-                                           duration, is_write=is_write)
-        return Completion.new(device_name=self.name, addr=spans[0][0],
-                              nbytes=payload, is_write=is_write,
-                              submit_time=submit_time, start_time=start,
-                              duration=duration)
+        self._account(components, payload, duration, is_write)
+        return self._place(spans[0][0], payload, is_write, now, duration)
 
     def read_spans(self, spans) -> float:
-        """Blocking multi-span read: duration of one merged request (the
-        never-queueing regime, like :meth:`read`)."""
-        completion = self.submit_spans(spans, is_write=False)
-        duration = completion.duration
-        completion.recycle()
-        return duration
+        """Blocking multi-span read: the duration of one merged request
+        (the never-queueing regime, like :meth:`read`).  A single span is
+        a :meth:`read`; several go through :meth:`submit_spans`."""
+        spans = list(spans)
+        if len(spans) == 1:
+            addr, nbytes = spans[0]
+            return self.read(addr, nbytes)
+        return self.submit_spans(spans).duration
 
     def read(self, addr: int, nbytes: int) -> float:
         """Time in seconds to read ``nbytes`` starting at ``addr``.
 
-        A thin submit-and-drain wrapper: the request is charged as if it
-        arrived the instant the device freed up, so it never queues and
-        the returned duration is bit-identical to the pre-event-engine
-        blocking model.
+        The blocking request: it arrives the instant the device frees up,
+        so it never queues, and it leaves the same state behind as
+        ``submit(addr, nbytes, False)`` and returns that completion's
+        ``duration``, bit for bit, without building the completion.
         """
-        completion = self.submit(addr, nbytes, is_write=False)
-        duration = completion.duration
-        completion.recycle()
+        duration = self._serve(addr, nbytes, False)
+        self.busy_until += duration
+        if self.observer is not None:
+            self.observer.on_device_access(self, addr, nbytes, duration,
+                                           is_write=False)
         return duration
 
     def read_run(self, addr: int, npages: int, page_bytes: int):
@@ -499,10 +472,13 @@ class Device(ABC):
         return False
 
     def write(self, addr: int, nbytes: int) -> float:
-        """Time in seconds to write ``nbytes`` starting at ``addr``."""
-        completion = self.submit(addr, nbytes, is_write=True)
-        duration = completion.duration
-        completion.recycle()
+        """Time in seconds to write ``nbytes`` starting at ``addr``: the
+        blocking request of :meth:`read`, for a write."""
+        duration = self._serve(addr, nbytes, True)
+        self.busy_until += duration
+        if self.observer is not None:
+            self.observer.on_device_access(self, addr, nbytes, duration,
+                                           is_write=True)
         return duration
 
     def queue_delay(self, now: float) -> float:
@@ -556,18 +532,15 @@ class Device(ABC):
         self._bad_ranges.clear()
 
     def _maybe_fail(self, addr: int, nbytes: int, is_write: bool) -> None:
-        from repro.sim.errors import IoSimError
-
         if self._pending_failures > 0:
             self._pending_failures -= 1
             self.stats.errors += 1
             raise IoSimError(self.name, addr, is_write)
-        self._check_bad_ranges(addr, nbytes, is_write)
+        if self._bad_ranges:
+            self._check_bad_ranges(addr, nbytes, is_write)
 
     def _check_bad_ranges(self, addr: int, nbytes: int,
                           is_write: bool) -> None:
-        from repro.sim.errors import IoSimError
-
         for lo, hi in self._bad_ranges:
             if addr < hi and addr + nbytes > lo:
                 self.stats.errors += 1

@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 from functools import partial, wraps
 from typing import Iterator
 
+from repro.block.scheduler import (IoRequest, IoScheduler, make_scheduler,
+                                   submit_batch)
 from repro.cache.page_cache import PageCache
 from repro.cache.readahead import ReadaheadWindow
 from repro.core.builder import build_sled_vector
@@ -41,8 +43,10 @@ from repro.devices.memory import MemoryDevice
 from repro.fs.content import ByteStoreContent
 from repro.fs.filesystem import FileSystem, split_path
 from repro.fs.inode import Inode
-from repro.kernel.ioctl import FSLEDS_FILL, FSLEDS_GET, UnknownIoctlError
+from repro.kernel.ioctl import (COMMAND_NAMES, FSLEDS_FILL, FSLEDS_GET,
+                                UnknownIoctlError)
 from repro.kernel.stats import KernelCounters, ProcessRun
+from repro.obs.lifecycle import component_delta, snapshot_components
 from repro.sim.clock import VirtualClock
 from repro.sim.errors import (
     BadFileDescriptorError,
@@ -136,7 +140,6 @@ class Kernel:
         self.readahead_min_pages = readahead_min_pages
         self.readahead_max_pages = readahead_max_pages
         self.writeback_threshold_pages = writeback_threshold_pages
-        from repro.block.scheduler import IoScheduler, make_scheduler
         self.io_scheduler = (io_scheduler
                              if isinstance(io_scheduler, IoScheduler)
                              else make_scheduler(io_scheduler))
@@ -304,8 +307,6 @@ class Kernel:
         under ``key``.  With telemetry detached the wrapper adds nothing
         but an attribute read — timings are bit-identical either way.
         """
-        from repro.obs.lifecycle import component_delta, snapshot_components
-
         def service() -> float:
             telemetry = self.telemetry
             if telemetry is None:
@@ -599,8 +600,6 @@ class Kernel:
         while cluster < limit and (inode_id, page + cluster) not in resident:
             cluster += 1
         if telemetry is not None:
-            from repro.obs.lifecycle import (component_delta,
-                                             snapshot_components)
             before = snapshot_components(fs)
         seconds = self._noisy(fs.read_pages(inode, page, cluster))
         category = fs.device.time_category
@@ -935,7 +934,10 @@ class Kernel:
         first = offset // PAGE_SIZE
         n = (end - 1) // PAGE_SIZE + 1 - first
         self.page_cache.insert_run(inode.id, first, n, self.current_tenant)
-        dirty = self._dirty.setdefault(inode.id, (of.fs, inode, set()))[2]
+        entry = self._dirty.get(inode.id)
+        if entry is None:
+            entry = self._dirty[inode.id] = (of.fs, inode, set())
+        dirty = entry[2]
         dirty.update(range(first, first + n))
         self.counters.bytes_written += len(data)
         inode.mtime = self.clock.now
@@ -965,8 +967,6 @@ class Kernel:
         sweep across files) with one noise draw and clock advance; one
         with its own write path takes them unit by unit, in page order.
         The pages count as written once all are done."""
-        from repro.block.scheduler import IoRequest, submit_batch
-
         dirty = self._dirty
         files = [dirty.pop(inode_id) for inode_id in inode_ids
                  if inode_id in dirty]
@@ -1072,7 +1072,6 @@ class Kernel:
         ``FSLEDS_GET`` returns a :class:`~repro.core.sled.SledVector` and
         charges the kernel page-walk CPU cost.
         """
-        from repro.kernel.ioctl import COMMAND_NAMES
         name = COMMAND_NAMES.get(cmd, f"ioctl:0x{cmd:04x}")
         tele = self.telemetry
         span = (tele.syscall_begin(name, self.clock.now)
