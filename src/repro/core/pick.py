@@ -36,12 +36,11 @@ pick-order ablation (``"sleds"``, ``"linear"``, ``"random"``).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 
 from repro.core.records import adjust_to_records
 from repro.core.sled import SledVector
 from repro.sim.errors import InvalidArgumentError
-from repro.sim.units import USEC
+from repro.sim.units import USEC, page_span
 
 #: CPU cost charged per pick decision — the paper attributes the small-file
 #: slowdown of SLEDs grep to "the additional complexity of record
@@ -51,17 +50,10 @@ INIT_CPU_PER_SLED = 2.0 * USEC
 
 _VALID_ORDERS = ("sleds", "linear", "random")
 
-
-@dataclass(order=True)
-class _Chunk:
-    sort_key: tuple[float, int] = field(init=False, repr=False)
-    offset: int
-    length: int
-    latency: float
-    bandwidth: float
-
-    def __post_init__(self) -> None:
-        self.sort_key = (self.latency, self.offset)
+#: a heap entry: ``(latency key, offset, length, bandwidth)``.  Offsets
+#: are unique within a session, so entries order by (latency key, offset)
+#: and the tuple comparison never reaches the length.
+_Chunk = tuple[float, int, int, float]
 
 
 class SledsPickSession:
@@ -128,17 +120,15 @@ class SledsPickSession:
         """Split SLEDs into chunks <= bufsize, optionally clipped to the
         still-unread ``within`` spans."""
         chunks: list[_Chunk] = []
+        bufsize = self.bufsize
         for sled in vector:
+            key = self._order_latency(sled)
             spans = ([(sled.offset, sled.end)] if within is None
                      else _clip_spans(within, sled.offset, sled.end))
             for lo, hi in spans:
-                pos = lo
-                while pos < hi:
-                    take = min(self.bufsize, hi - pos)
-                    chunks.append(_Chunk(offset=pos, length=take,
-                                         latency=self._order_latency(sled),
-                                         bandwidth=sled.bandwidth))
-                    pos += take
+                for pos in range(lo, hi, bufsize):
+                    chunks.append((key, pos, min(bufsize, hi - pos),
+                                   sled.bandwidth))
         return chunks
 
     def _order_latency(self, sled) -> float:
@@ -156,8 +146,8 @@ class SledsPickSession:
             # fetch: the vector would come back identical, so don't ask
             self.kernel.counters.sleds_refetch_skips += 1
             return
-        remaining = sorted((c.offset, c.offset + c.length)
-                           for c in self._heap)
+        remaining = sorted((offset, offset + length)
+                           for _, offset, length, _ in self._heap)
         vector = self._fetch_vector()
         self._stamp = self.kernel.sleds_stamp(self.fd)
         self.kernel.charge_cpu(len(vector) * INIT_CPU_PER_SLED)
@@ -174,9 +164,9 @@ class SledsPickSession:
         if self.prefetcher is None or not self._heap:
             return
         of = self.kernel._fd(self.fd)
-        for chunk in heapq.nsmallest(self.prefetch_depth, self._heap):
-            self.prefetcher.prefetch_span(
-                of.fs, of.inode, chunk.offset, chunk.length)
+        for _, offset, length, _ in heapq.nsmallest(self.prefetch_depth,
+                                                    self._heap):
+            self.prefetcher.prefetch_span(of.fs, of.inode, offset, length)
 
     # -- API -----------------------------------------------------------------
 
@@ -190,23 +180,19 @@ class SledsPickSession:
         cannot be evicted out from under it.  Pins release chunk by chunk
         as chunks are delivered, and unconditionally at finish.
         """
-        from repro.sim.units import page_span  # noqa: PLC0415
-
         cache = self.kernel.page_cache
         inode_id = self.kernel._fd(self.fd).inode.id
-        for chunk in self._heap:
-            for page in page_span(chunk.offset, chunk.length):
+        for _, offset, length, _ in self._heap:
+            for page in page_span(offset, length):
                 key = (inode_id, page)
                 if cache.peek(key) and cache.pin(key):
                     self._pinned.add(key)
 
-    def _unpin_chunk(self, chunk: "_Chunk") -> None:
+    def _unpin_chunk(self, offset: int, length: int) -> None:
         if not self._pinned:
             return
-        from repro.sim.units import page_span  # noqa: PLC0415
-
         inode_id = self.kernel._fd(self.fd).inode.id
-        for page in page_span(chunk.offset, chunk.length):
+        for page in page_span(offset, length):
             key = (inode_id, page)
             if key in self._pinned:
                 self.kernel.page_cache.unpin(key)
@@ -228,17 +214,17 @@ class SledsPickSession:
             if not self._heap:
                 return None
         self.kernel.charge_cpu(PICK_CPU_PER_CHUNK)
-        chunk = heapq.heappop(self._heap)
+        _, offset, length, _ = heapq.heappop(self._heap)
         self.picks += 1
-        self._unpin_chunk(chunk)
+        self._unpin_chunk(offset, length)
         self._feed_prefetcher()
-        return chunk.offset, chunk.length
+        return offset, length
 
     def remaining_chunks(self) -> int:
         return len(self._heap)
 
     def remaining_bytes(self) -> int:
-        return sum(c.length for c in self._heap)
+        return sum(chunk[2] for chunk in self._heap)
 
 
 def _merge_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -19,28 +19,45 @@ bandwidth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 
-@dataclass(frozen=True)
-class Sled:
-    """Estimated retrieval characteristics of one contiguous file segment."""
-
+class _SledFields(NamedTuple):
     offset: int
     length: int
     latency: float
     bandwidth: float
 
-    def __post_init__(self) -> None:
-        if self.offset < 0:
-            raise ValueError(f"negative SLED offset: {self.offset}")
-        if self.length <= 0:
-            raise ValueError(f"non-positive SLED length: {self.length}")
-        if self.latency < 0:
-            raise ValueError(f"negative SLED latency: {self.latency}")
-        if self.bandwidth <= 0:
-            raise ValueError(f"non-positive SLED bandwidth: {self.bandwidth}")
+
+class Sled(_SledFields):
+    """Estimated retrieval characteristics of one contiguous file segment.
+
+    A tuple, so it is cheap to build, immutable and hashable, and it
+    compares equal to the tuple of its fields.  Every way of making one
+    checks the fields: the constructor, ``_make`` and ``_replace`` (which
+    goes through ``_make``), and unpickling and copying (which call the
+    constructor).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, offset: int, length: int, latency: float,
+                bandwidth: float) -> "Sled":
+        if offset < 0:
+            raise ValueError(f"negative SLED offset: {offset}")
+        if length <= 0:
+            raise ValueError(f"non-positive SLED length: {length}")
+        if latency < 0:
+            raise ValueError(f"negative SLED latency: {latency}")
+        if bandwidth <= 0:
+            raise ValueError(f"non-positive SLED bandwidth: {bandwidth}")
+        return tuple.__new__(cls, (offset, length, latency, bandwidth))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Sled":
+        # the NamedTuple default builds the tuple without ``__new__``
+        return cls(*iterable)
 
     @property
     def end(self) -> int:
@@ -67,12 +84,15 @@ class Sled:
         return left, right
 
 
+_offset_of = itemgetter(0)
+
+
 class SledVector:
     """An ordered, validated sequence of SLEDs covering a file."""
 
     def __init__(self, sleds: Iterable[Sled], file_size: int | None = None,
                  coalesce: bool = True) -> None:
-        items = sorted(sleds, key=lambda s: s.offset)
+        items = sorted(sleds, key=_offset_of)
         if coalesce:
             items = self._coalesce(items)
         self._validate(items, file_size)
@@ -101,14 +121,15 @@ class SledVector:
         if items[0].offset != 0:
             raise ValueError(
                 f"SLED vector must start at offset 0, got {items[0].offset}")
-        for prev, cur in zip(items, items[1:]):
-            if cur.offset != prev.end:
+        end = 0
+        for offset, length, _, _ in items:
+            if offset != end:
                 raise ValueError(
-                    f"gap or overlap between SLEDs at {prev.end} vs "
-                    f"{cur.offset}")
-        if file_size is not None and items[-1].end != file_size:
+                    f"gap or overlap between SLEDs at {end} vs {offset}")
+            end = offset + length
+        if file_size is not None and end != file_size:
             raise ValueError(
-                f"SLED vector covers {items[-1].end} bytes of a "
+                f"SLED vector covers {end} bytes of a "
                 f"{file_size}-byte file")
 
     # -- sequence protocol ------------------------------------------------

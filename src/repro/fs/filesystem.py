@@ -81,6 +81,9 @@ class FileSystem(ABC):
         self.root = make_directory()
         #: local contribution to :attr:`state_epoch`; bump via bump_epoch()
         self._epoch = 0
+        #: the estimate of a page on the backing level, built once: an
+        #: estimate is immutable, so every answer shares it
+        self._device_estimate = PageEstimate(device_key=self.device_key())
 
     # -- state epoch -------------------------------------------------------
 
@@ -200,7 +203,7 @@ class FileSystem(ABC):
 
     def page_estimate(self, inode: Inode, page_index: int) -> PageEstimate:
         """Storage level of one non-resident page.  Default: the device."""
-        return PageEstimate(device_key=self.device_key())
+        return self._device_estimate
 
     def span_estimates(self, inode: Inode, start_page: int,
                        npages: int) -> list[tuple[int, PageEstimate]]:
@@ -229,7 +232,8 @@ class FileSystem(ABC):
         return runs
 
     def device_key(self) -> str:
-        """Sleds-table key for this filesystem's backing level."""
+        """Sleds-table key for this filesystem's backing level (read once,
+        when the filesystem is built, for its shared estimate)."""
         return self.name
 
     def device_table(self) -> dict[str, Device]:
@@ -322,6 +326,9 @@ class Ext2Like(FileSystem):
         device = device or DiskDevice(name=f"{name}-disk")
         super().__init__(name=name, device=device, read_only=False)
         self.zone_aware = zone_aware
+        self._zone_estimates = tuple(
+            PageEstimate(device_key=f"{name}:z{i}")
+            for i in range(len(device.zones) if zone_aware else 0))
         self._alloc = Allocator(capacity=device.capacity,
                                 max_extent_pages=max_extent_pages,
                                 gap_pages=gap_pages)
@@ -337,8 +344,7 @@ class Ext2Like(FileSystem):
         if not self.zone_aware:
             return super().page_estimate(inode, page_index)
         addr = inode.extent_map.addr_of(page_index)
-        zone = self._disk().zone_index(addr)
-        return PageEstimate(device_key=f"{self.name}:z{zone}")
+        return self._zone_estimates[self._disk().zone_index(addr)]
 
     def span_estimates(self, inode: Inode, start_page: int,
                        npages: int) -> list[tuple[int, PageEstimate]]:
@@ -347,7 +353,7 @@ class Ext2Like(FileSystem):
         if npages <= 0:
             return []
         if not self.zone_aware:
-            return [(npages, PageEstimate(device_key=self.device_key()))]
+            return [(npages, self._device_estimate)]
         disk = self._disk()
         runs: list[tuple[int, PageEstimate]] = []
         for _, piece_pages, addr in inode.extent_map.extents_in(
@@ -360,7 +366,7 @@ class Ext2Like(FileSystem):
                 # pages whose *start* address is still inside this zone
                 take = min(piece_pages - done,
                            (zone_end - cur + PAGE_SIZE - 1) // PAGE_SIZE)
-                estimate = PageEstimate(device_key=f"{self.name}:z{zone}")
+                estimate = self._zone_estimates[zone]
                 if runs and runs[-1][1] == estimate:
                     runs[-1] = (runs[-1][0] + take, estimate)
                 else:
@@ -371,15 +377,15 @@ class Ext2Like(FileSystem):
     def device_table(self) -> dict[str, Device]:
         if not self.zone_aware:
             return super().device_table()
-        return {f"{self.name}:z{i}": self.device
-                for i in range(len(self._disk().zones))}
+        return {estimate.device_key: self.device
+                for estimate in self._zone_estimates}
 
     def characterization_jobs(self) -> dict[str, tuple[Device, int, int]]:
         if not self.zone_aware:
             return super().characterization_jobs()
         disk = self._disk()
-        return {f"{self.name}:z{i}": (disk, *disk.zone_range(i))
-                for i in range(len(disk.zones))}
+        return {estimate.device_key: (disk, *disk.zone_range(i))
+                for i, estimate in enumerate(self._zone_estimates)}
 
 
 class Iso9660Like(FileSystem):
@@ -393,3 +399,8 @@ class Iso9660Like(FileSystem):
 
     def _allocator(self) -> Allocator:
         return self._alloc
+
+    def span_estimates(self, inode: Inode, start_page: int,
+                       npages: int) -> list[tuple[int, PageEstimate]]:
+        """One run: every page of the disc is on the drive's one level."""
+        return [(npages, self._device_estimate)] if npages > 0 else []

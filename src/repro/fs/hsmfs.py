@@ -167,7 +167,7 @@ class HsmFs(FileSystem):
         mechanical estimates are explicitly future work (§4.4).
         """
         if self.is_staged(inode, page_index):
-            return PageEstimate(device_key="hsm-disk")
+            return self._device_estimate
         return self._tape_estimate(inode)
 
     def _tape_estimate(self, inode: Inode) -> PageEstimate:
@@ -196,7 +196,7 @@ class HsmFs(FileSystem):
                         if start_page <= p < end)
         if not staged:
             return [(npages, self._tape_estimate(inode))]
-        disk_est = PageEstimate(device_key="hsm-disk")
+        disk_est = self._device_estimate
         tape_est: PageEstimate | None = None  # computed only if needed
         runs: list[tuple[int, PageEstimate]] = []
         cursor = start_page

@@ -29,6 +29,7 @@ class NfsLike(FileSystem):
         device = device or NfsDevice(name=f"{name}-server")
         super().__init__(name=name, device=device, read_only=False)
         self.server_sleds = server_sleds
+        self._warm_estimate = PageEstimate(device_key=f"{name}-warm")
         self._alloc = Allocator(capacity=device.capacity)
         #: cumulative metadata round trips (every stat/lookup revalidation
         #: crosses the wire on an NFSv2-era client); telemetry exports this
@@ -56,8 +57,8 @@ class NfsLike(FileSystem):
         if self.server_sleds:
             addr = inode.extent_map.addr_of(page_index)
             if self._nfs().server_cached(addr, PAGE_SIZE):
-                return PageEstimate(device_key=f"{self.name}-warm")
-        return PageEstimate(device_key=self.device_key())
+                return self._warm_estimate
+        return self._device_estimate
 
     def span_estimates(self, inode: Inode, start_page: int,
                        npages: int) -> list[tuple[int, PageEstimate]]:
@@ -65,11 +66,11 @@ class NfsLike(FileSystem):
         64 KB server block, not one at a time."""
         if npages <= 0:
             return []
-        cold = PageEstimate(device_key=self.device_key())
+        cold = self._device_estimate
         if not self.server_sleds:
             return [(npages, cold)]
         device = self._nfs()
-        warm = PageEstimate(device_key=f"{self.name}-warm")
+        warm = self._warm_estimate
         runs: list[tuple[int, PageEstimate]] = []
 
         def push(take: int, estimate: PageEstimate) -> None:

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from repro.cache.page_cache import PageCache
 from repro.core.builder import build_sled_vector
 from repro.core.sled_table import SledTable
+from repro.devices.cdrom import CdromDevice
 from repro.devices.disk import DiskDevice
-from repro.fs.filesystem import Ext2Like
+from repro.devices.network import NfsDevice
+from repro.fs.filesystem import Ext2Like, Iso9660Like
+from repro.fs.nfs import NfsLike
 from repro.sim.units import MB, PAGE_SIZE
 
 import numpy as np
@@ -147,3 +150,43 @@ class TestSpanEstimatesContract:
     def test_empty_span(self):
         fs, inode, _, _ = _setup()
         assert fs.span_estimates(inode, 0, 0) == []
+
+    def test_cdrom_rebuild_makes_no_page_estimate_calls(self):
+        """A CD-ROM answers each gap in one run, not page by page."""
+        fs = Iso9660Like(CdromDevice(rng=np.random.default_rng(1)))
+        inode = fs.create_file("f", 1024 * PAGE_SIZE)
+        cache = PageCache(64)
+        for page in (0, 1, 2, 500, 1023):
+            cache.insert((inode.id, page))
+        table = SledTable()
+        table.fill({"memory": (1e-7, 48 * MB), "iso9660": (0.1, 2.8 * MB)})
+        calls = []
+
+        def counted(inode, page_index):
+            calls.append(page_index)
+            return Iso9660Like.page_estimate(fs, inode, page_index)
+
+        fs.page_estimate = counted
+        vector = build_sled_vector(cache, fs, inode, table)
+        assert calls == []
+        assert fs.span_estimates(inode, 3, 497) == [
+            (497, Iso9660Like.page_estimate(fs, inode, 3))]
+        assert vector == build_sled_vector_full_walk(cache, fs, inode, table)
+        assert len(calls) == 1019
+
+    @pytest.mark.parametrize("make_fs", [
+        lambda: Ext2Like(DiskDevice(rng=np.random.default_rng(1))),
+        lambda: Ext2Like(DiskDevice(rng=np.random.default_rng(1)),
+                         zone_aware=True),
+        lambda: NfsLike(NfsDevice(rng=np.random.default_rng(1))),
+        lambda: NfsLike(NfsDevice(rng=np.random.default_rng(1)),
+                        server_sleds=True),
+        lambda: Iso9660Like(CdromDevice(rng=np.random.default_rng(1))),
+    ], ids=["ext2", "ext2-zones", "nfs", "nfs-server-sleds", "cdrom"])
+    def test_one_shared_estimate_per_level(self, make_fs):
+        """Estimates are built once per storage level, not per call."""
+        fs = make_fs()
+        inode = fs.create_file("f", 16 * PAGE_SIZE)
+        first = fs.span_estimates(inode, 0, 16)
+        again = fs.span_estimates(inode, 3, 13)
+        assert first[0][1] is again[0][1] is fs.page_estimate(inode, 3)

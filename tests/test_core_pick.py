@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pick import (
+    SledsPickSession,
     active_session,
     sleds_pick_finish,
     sleds_pick_init,
@@ -12,7 +13,10 @@ from repro.core.pick import (
 )
 from repro.machine import Machine
 from repro.sim.errors import InvalidArgumentError
+from repro.sim.prefetch import Prefetcher
 from repro.sim.units import PAGE_SIZE
+
+from tests.oracles.pick import DataclassHeapPickSession
 
 
 def _machine(cache_pages=64):
@@ -229,3 +233,92 @@ class TestDeviceTrafficNeverWorse:
             return k.counters.pages_read - before
 
         assert run(True) <= run(False)
+
+
+_FILE_PAGES = 48
+
+
+@st.composite
+def _pick_programs(draw):
+    """A session's settings, the file's starting residency, and what
+    happens after each pick: whether the advice is read, and a cache
+    disturbance (drop one page of the file, or read one page of another
+    file, which evicts under the 32-page cache)."""
+    return dict(
+        order=draw(st.sampled_from(["sleds", "linear", "random"])),
+        bufsize=draw(st.integers(512, 12 * PAGE_SIZE)),
+        refresh_every=draw(st.integers(0, 4)),
+        pin_cached=draw(st.booleans()),
+        prefetcher=draw(st.booleans()),
+        cached=draw(st.sets(st.integers(0, _FILE_PAGES - 1), max_size=30)),
+        steps=draw(st.lists(
+            st.tuples(st.booleans(),
+                      st.sampled_from([None, "drop", "other"]),
+                      st.integers(0, _FILE_PAGES - 1)),
+            max_size=40)),
+    )
+
+
+def _pick_world(session_class, program):
+    machine = Machine.unix_utilities(cache_pages=32, seed=21)
+    machine.boot()
+    kernel = machine.kernel
+    fs = machine.ext2
+    fs.create_text_file("f", _FILE_PAGES * PAGE_SIZE - 123, seed=1)
+    fs.create_text_file("other", _FILE_PAGES * PAGE_SIZE, seed=2)
+    inode = fs.resolve(["f"])
+    for page in sorted(program["cached"]):
+        kernel.page_cache.insert((inode.id, page))
+    engine = prefetcher = None
+    if program["prefetcher"]:
+        engine = kernel.attach_engine()
+        prefetcher = Prefetcher(kernel).attach()
+    fd = kernel.open("/mnt/ext2/f")
+    other = kernel.open("/mnt/ext2/other")
+    session = session_class(
+        kernel, fd, program["bufsize"],
+        refresh_every=program["refresh_every"], order=program["order"],
+        pin_cached=program["pin_cached"], prefetcher=prefetcher,
+        prefetch_depth=2)
+    return kernel, engine, inode, fd, other, session
+
+
+def _observe(kernel, session, advice):
+    return (advice, session.remaining_chunks(), session.remaining_bytes(),
+            sorted(page for _, page in session._pinned), kernel.counters,
+            kernel.clock.now, kernel.clock.categories())
+
+
+@given(_pick_programs())
+@settings(deadline=None)
+def test_tuple_heap_matches_dataclass_heap(program):
+    """The session's heap of plain tuples picks exactly what the heap of
+    ordered dataclasses it replaced picks (``tests/oracles/pick.py``),
+    on twin kernels, refreshes, pins and prefetches included: the same
+    advice, remaining chunks and bytes, pins, counters and clock at
+    every step."""
+    twins = [_pick_world(cls, program)
+             for cls in (SledsPickSession, DataclassHeapPickSession)]
+    assert (_observe(twins[0][0], twins[0][-1], None)
+            == _observe(twins[1][0], twins[1][-1], None))
+    steps = list(program["steps"])
+    while True:
+        read, disturb, slot = steps.pop(0) if steps else (True, None, 0)
+        seen = []
+        for kernel, engine, inode, fd, other, session in twins:
+            advice = session.next_read()
+            if advice is not None and read:
+                kernel.lseek(fd, advice[0])
+                kernel.read(fd, advice[1])
+            if disturb == "drop":
+                kernel.page_cache.invalidate((inode.id, slot))
+            elif disturb == "other":
+                kernel.pread(other, slot * PAGE_SIZE, PAGE_SIZE)
+            if engine is not None:
+                engine.loop.run_until_idle()
+            seen.append(_observe(kernel, session, advice))
+        assert seen[0] == seen[1]
+        if seen[0][0] is None:
+            break
+    for _, _, _, _, _, session in twins:
+        session.release_pins()

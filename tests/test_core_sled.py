@@ -1,5 +1,8 @@
 """Unit and property tests for Sled and SledVector invariants."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +49,74 @@ class TestSled:
             Sled(**kwargs)
 
 
+_FIELD_ERRORS = [
+    (dict(offset=-1), "negative SLED offset: -1"),
+    (dict(length=0), "non-positive SLED length: 0"),
+    (dict(latency=-0.1), "negative SLED latency: -0.1"),
+    (dict(bandwidth=0.0), "non-positive SLED bandwidth: 0.0"),
+]
+
+
+class TestSledContract:
+    """A SLED is a validated tuple: immutable, hashable as its fields,
+    and no construction path skips the field checks."""
+
+    def test_fields_cannot_be_assigned(self):
+        sled = _sled(0, 10)
+        for name in ("offset", "length", "latency", "bandwidth", "other"):
+            with pytest.raises(AttributeError):
+                setattr(sled, name, 1)
+        assert sled == (0, 10, 0.01, 1e6)
+
+    def test_hash_and_equality_are_the_field_tuples(self):
+        sled = Sled(4096, 8192, 0.25, 3e6)
+        fields = (4096, 8192, 0.25, 3e6)
+        assert sled == fields and fields == sled
+        assert hash(sled) == hash(fields)
+        assert sled != (4096, 8192, 0.25, 4e6)
+        assert {sled: 1}[fields] == 1
+
+    def test_repr(self):
+        assert repr(Sled(0, 10, 0.5, 2.0)) == (
+            "Sled(offset=0, length=10, latency=0.5, bandwidth=2.0)")
+
+    @pytest.mark.parametrize("clone", [
+        lambda sled: pickle.loads(pickle.dumps(sled)),
+        copy.deepcopy,
+        copy.copy,
+    ])
+    def test_round_trips(self, clone):
+        sled = Sled(4096, 8192, 0.25, 3e6)
+        twin = clone(sled)
+        assert type(twin) is Sled
+        assert twin == sled and hash(twin) == hash(sled)
+        assert twin.end == 12288
+
+    @pytest.mark.parametrize("bad, message", _FIELD_ERRORS)
+    def test_constructor_rejects(self, bad, message):
+        fields = dict(offset=0, length=1, latency=0.1, bandwidth=1.0)
+        fields.update(bad)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Sled(**fields)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Sled(*fields.values())
+
+    @pytest.mark.parametrize("bad, message", _FIELD_ERRORS)
+    def test_make_rejects(self, bad, message):
+        fields = dict(offset=0, length=1, latency=0.1, bandwidth=1.0)
+        fields.update(bad)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Sled._make(fields.values())
+        assert Sled._make((0, 1, 0.1, 1.0)) == (0, 1, 0.1, 1.0)
+
+    @pytest.mark.parametrize("bad, message", _FIELD_ERRORS)
+    def test_replace_rejects(self, bad, message):
+        sled = Sled(0, 1, 0.1, 1.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sled._replace(**bad)
+        assert type(sled._replace(length=2)) is Sled
+
+
 class TestSledVectorValidation:
     def test_empty_vector_for_empty_file(self):
         vector = SledVector([], file_size=0)
@@ -70,6 +141,19 @@ class TestSledVectorValidation:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             SledVector([_sled(0, 10)], file_size=20)
+
+    @pytest.mark.parametrize("sleds, size, message", [
+        ([], 10, "empty SLED vector for file of size 10"),
+        ([_sled(10, 10)], 20, "SLED vector must start at offset 0, got 10"),
+        ([_sled(0, 10), _sled(20, 10)], 30,
+         "gap or overlap between SLEDs at 10 vs 20"),
+        ([_sled(0, 10), _sled(5, 10)], 15,
+         "gap or overlap between SLEDs at 10 vs 5"),
+        ([_sled(0, 10)], 20, "SLED vector covers 10 bytes of a 20-byte file"),
+    ])
+    def test_error_messages(self, sleds, size, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SledVector(sleds, file_size=size, coalesce=False)
 
     def test_unsorted_input_is_sorted(self):
         vector = SledVector([_sled(10, 10, latency=0.2), _sled(0, 10)],

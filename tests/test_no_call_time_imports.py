@@ -4,8 +4,8 @@ An ``import`` inside a function runs on every call, even when the module
 is long loaded: on CPython 3.11 a ``from repro.sim.errors import
 IoSimError`` costs ~1-1.4 us, several times the price of the 4 KiB
 memory copy every read and write charges.  This test disassembles every
-function and method of the modules on the request and syscall paths,
-nested code objects included, and fails on any ``IMPORT_NAME`` outside
+function and method of the modules on the request, syscall and SLED
+paths, nested code objects included, and fails on any ``IMPORT_NAME`` outside
 ``ALLOWED``: cold functions and one import cycle, each with its reason.
 """
 
@@ -26,9 +26,10 @@ MODULES = sorted(
     [f"{package.__name__}.{info.name}"
      for package in (repro.devices, repro.cache)
      for info in pkgutil.iter_modules(package.__path__)]
-    + ["repro.core.builder", "repro.kernel.kernel", "repro.block.scheduler",
-       "repro.block.merge", "repro.sim.clock", "repro.sim.events",
-       "repro.sim.engine"])
+    + ["repro.core.builder", "repro.core.pick", "repro.core.sled",
+       "repro.fs.filesystem", "repro.fs.nfs", "repro.fs.hsmfs",
+       "repro.kernel.kernel", "repro.block.scheduler", "repro.block.merge",
+       "repro.sim.clock", "repro.sim.events", "repro.sim.engine"])
 
 #: (module, function) -> why an import may run inside it
 ALLOWED = {

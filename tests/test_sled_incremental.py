@@ -1,9 +1,10 @@
 """Property tests: the incremental, stamp-cached FSLEDS_GET path is
 bit-identical to the paper's literal full-page walk.
 
-For ext2- (flat and zone-aware), NFS- (server SLEDs + server cache), and
-HSM-backed files, a randomized interleaving of reads, writes, drops,
-migrations, and repeated ``get_sleds`` calls must never produce a vector
+For ext2- (flat and zone-aware), NFS- (with server SLEDs and a server
+cache, and without), CD-ROM- and HSM-backed files, a randomized
+interleaving of reads, writes, drops, migrations, and repeated
+``get_sleds`` calls must never produce a vector
 that differs from the full walk (``tests/oracles/builder.py``)
 recomputed from scratch at the same instant — whether the kernel answered from its
 generation-stamped cache or rebuilt via ``span_estimates``.
@@ -13,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices.autochanger import Autochanger
+from repro.devices.cdrom import CdromDevice
 from repro.devices.disk import DiskDevice, Zone
 from repro.devices.network import NfsDevice
 from repro.devices.tape import TapeCartridge, TapeDevice
-from repro.fs.filesystem import Ext2Like
+from repro.fs.filesystem import Ext2Like, Iso9660Like
 from repro.fs.hsmfs import HsmFs
 from repro.fs.nfs import NfsLike
 from repro.kernel.ioctl import FSLEDS_FILL
@@ -56,12 +58,23 @@ def _ext2_world(zone_aware: bool):
     return kernel, fs, "/f"
 
 
-def _nfs_world():
+def _nfs_world(server_sleds: bool):
     rng = RngStreams(11)
     kernel = Kernel(cache_pages=10, rng=rng)
     device = NfsDevice(name="nfs", server_cache_bytes=512 * KB,
                        rng=np.random.default_rng(5))
-    fs = NfsLike(device, name="nfs", server_sleds=True)
+    fs = NfsLike(device, name="nfs", server_sleds=server_sleds)
+    kernel.mount("/", fs)
+    fs.create_file("f", FILE_SIZE)
+    _fill_table(kernel, fs)
+    return kernel, fs, "/f"
+
+
+def _cdrom_world():
+    rng = RngStreams(17)
+    kernel = Kernel(cache_pages=10, rng=rng)
+    fs = Iso9660Like(CdromDevice(name="cd", rng=np.random.default_rng(6)),
+                     name="iso9660")
     kernel.mount("/", fs)
     fs.create_file("f", FILE_SIZE)
     _fill_table(kernel, fs)
@@ -86,7 +99,9 @@ def _hsm_world():
 _WORLDS = {
     "ext2": lambda: _ext2_world(False),
     "ext2-zones": lambda: _ext2_world(True),
-    "nfs": _nfs_world,
+    "nfs": lambda: _nfs_world(True),
+    "nfs-plain": lambda: _nfs_world(False),
+    "cdrom": _cdrom_world,
     "hsm": _hsm_world,
 }
 
@@ -110,15 +125,15 @@ def _check(kernel, fs, fd) -> None:
 
 class TestIncrementalMatchesFullWalk:
     @given(st.sampled_from(sorted(_WORLDS)), _ops)
-    @settings(max_examples=40, deadline=None)
+    @settings(deadline=None)
     def test_randomized_interleavings(self, world, ops):
         kernel, fs, path = _WORLDS[world]()
-        fd = kernel.open(path, "r+")
+        fd = kernel.open(path, "r" if fs.read_only else "r+")
         inode = kernel._fd(fd).inode
         for op, slot, span in ops:
             if op == "read":
                 kernel.pread(fd, slot * PAGE_SIZE, span * PAGE_SIZE)
-            elif op == "write":
+            elif op == "write" and not fs.read_only:
                 # stay within the file for HSM (tape homes are sized at
                 # placement); let local/NFS files grow past the end
                 end = (slot + span) * PAGE_SIZE
