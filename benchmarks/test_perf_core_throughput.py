@@ -1,4 +1,4 @@
-"""Core throughput benchmark: the residency index + vectorised faults.
+"""Core throughput benchmark: the residency index + run-batched faults.
 
 Two deterministic workloads, each run on a machine whose page-cache
 index is swapped for the page-set reference
@@ -13,7 +13,7 @@ default machine (the interval-run index); both use the one event loop:
 * **fault_storm** — blocking sequential re-reads of a file 4x the cache,
   so every page hard-faults every pass.  This is the raw fault-path
   throughput number the ``sleds-run profile --budget`` gate consumes.
-  Both machines ride the vectorised fault path (run-batched device math,
+  Both machines ride the run-batched fault path (``Device.read_run``,
   ``insert_run``, ``advance_run`` — see docs/performance.md); the tuned
   machine wins on top of it because a batched insert costs the runs
   index two splices per cluster where the sets index pays per page.
@@ -31,7 +31,7 @@ carries the per-site breakdown of where the storm's wall time goes
 throughput PR can see what is left.
 
 Throughput budget: 250k simulated faults/s on the fault storm, met on
-the development host since the fault path was vectorised (~290k; the
+the development host since the fault path went by runs (~290k; the
 scalar reference path measures ~70k).  ``budget_met`` is recorded in
 the committed baseline and enforced in CI by the calibrated
 ``sleds-run profile --storm --budget`` gate.  See docs/performance.md.
@@ -157,7 +157,7 @@ def _storm_site_breakdown() -> dict:
     """Where the storm's wall time goes, by instrumented site.
 
     Two profiled runs (not used for the timed comparison): the plain
-    storm exposes the vectorised fault sites; a telemetry-attached
+    storm exposes the run-batched fault sites; a telemetry-attached
     refetch pass exposes the deferred fan-in flush (the storm itself
     runs telemetry-free, and telemetry's device observers force the
     scalar device path by design).

@@ -7,8 +7,8 @@ Three deterministic phases, one profiler, so every declared site in
   plugging on and SLED vectors requested up front — the event-loop,
   SLED-build, residency, and merge/flush sites;
 * **blocking pread sweep** over a second cold file with no telemetry
-  attached — the vectorised fault path (``kernel.fault_batch``) and the
-  whole-run device kernels (``device.batch_math``);
+  attached — the run-batched fault path (``kernel.fault_batch``) and the
+  whole-run device pricing (``device.batch_math``);
 * **telemetry replay**: the striding readers again, over a third cold
   file, with telemetry attached — the deferred fan-in flush
   (``obs.telemetry_flush``).
@@ -72,7 +72,7 @@ def test_profile_hotpaths_record():
         engine=engine).run()
     makespan = kernel.clock.now - start
 
-    # phase 2: blocking sweep, telemetry-free — the vectorised fault path
+    # phase 2: blocking sweep, telemetry-free — the run-batched fault path
     fd = kernel.open("/mnt/ext2/storm.dat")
     offset = 0
     while offset < FILE_PAGES * PAGE_SIZE:

@@ -7,7 +7,12 @@ FSLEDS_FILL."
 
 We do the same against the simulated devices: small random reads measure
 time-to-first-byte, a long sequential read measures sustained bandwidth,
-and the results go through ``FSLEDS_FILL``.  Tape levels are taken from the
+and the results go through ``FSLEDS_FILL``.  The random addresses are drawn
+in one call (the same sequence as one draw per probe), and the stream's
+whole chunks are priced by one ``Device.read_run``, equal bit for bit to
+reading them one by one; a device that declines the run is read chunk by
+chunk.  Either way the probes leave each device's stats, position and rng
+where the per-read loops would.  Tape levels are taken from the
 drive's nominal spec (lmbench never ran against tape; the HSM filesystem
 overrides per-page with live locate estimates anyway).
 
@@ -43,9 +48,8 @@ def measure_latency(device: Device, probes: int = LATENCY_PROBES,
     hi = end if end is not None else device.capacity
     limit = max(lo + 1, hi - PAGE_SIZE)
     total = 0.0
-    for _ in range(probes):
-        addr = int(rng.integers(lo, limit)) & ~(PAGE_SIZE - 1)
-        total += device.read(max(lo, addr), PAGE_SIZE)
+    for addr in rng.integers(lo, limit, size=probes).tolist():
+        total += device.read(max(lo, addr & ~(PAGE_SIZE - 1)), PAGE_SIZE)
     device.reset_state()
     mean = total / probes
     transfer = PAGE_SIZE / device.spec.bandwidth
@@ -72,6 +76,13 @@ def measure_bandwidth(device: Device,
     probe_start = max(lo, probe_start)
     total = 0.0
     done = 0
+    durations = device.read_run(probe_start, nbytes // chunk, chunk)
+    if durations is not None:
+        # in order with ``+=``, as the loop adds: from Python 3.12 on,
+        # ``sum()`` of floats rounds differently
+        for duration in durations:
+            total += duration
+        done = len(durations) * chunk
     while done < nbytes:
         take = min(chunk, nbytes - done)
         total += device.read(probe_start + done, take)

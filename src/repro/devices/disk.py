@@ -81,6 +81,7 @@ class DiskDevice(Device):
         self.max_seek = max_seek
         self.rotation_period = 60.0 / rpm
         self.zones = zones
+        self._zone_starts = tuple(zone.start_frac for zone in zones)
         self.controller_overhead = controller_overhead
         # Nominal latency: average seek (sqrt curve averaged over uniformly
         # random start/end positions gives E[sqrt(d)] with d = |x - y|,
@@ -108,13 +109,9 @@ class DiskDevice(Device):
     # -- model ----------------------------------------------------------
 
     def zone_index(self, addr: int) -> int:
-        """Index of the zone containing ``addr``."""
-        frac = addr / self.capacity
-        index = 0
-        for i, zone in enumerate(self.zones):
-            if frac >= zone.start_frac:
-                index = i
-        return index
+        """Index of the zone containing ``addr``: the last zone whose start
+        fraction is at most ``addr / capacity``."""
+        return bisect_right(self._zone_starts, addr / self.capacity) - 1
 
     def zone_range(self, index: int) -> tuple[int, int]:
         """Byte range [start, end) of zone ``index``.

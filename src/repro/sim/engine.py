@@ -51,6 +51,8 @@ class IoEngine:
         self.block = block
         self._queues: dict[int, DeviceQueue] = {}
         self._plugs: dict[int, PlugQueue] = {}
+        #: per filesystem, ``(device key, device, queue)`` in key order
+        self._bound: dict[object, tuple] = {}
         self._attached = False
 
     @property
@@ -193,8 +195,8 @@ class IoEngine:
         the term ``FSLEDS_GET`` adds to non-resident SLED latencies.
         ``tenant`` scopes the estimate under tenant-aware schedulers."""
         delays: dict[str, float] = {}
-        for key, device in fs.device_table().items():
-            delay = self.queue_for(device).estimated_delay(now, tenant)
+        for key, device, queue in self._device_queues(fs):
+            delay = queue.estimated_delay(now, tenant)
             plug = self._plugs.get(id(device))
             if plug is not None:
                 delay += plug.estimated_delay()
@@ -206,8 +208,18 @@ class IoEngine:
     def congestion_stamp(self, fs) -> tuple:
         """Per-device congestion epochs, folded into the SLED cache stamp
         so any queue-state change invalidates cached vectors."""
-        return tuple(self.queue_for(device).congestion_epoch
-                     for _, device in sorted(fs.device_table().items()))
+        return tuple(queue.congestion_epoch
+                     for _, _, queue in self._device_queues(fs))
+
+    def _device_queues(self, fs) -> tuple:
+        """``fs``'s levels bound to their queues once: a filesystem's
+        device table is fixed when it is built."""
+        bound = self._bound.get(fs)
+        if bound is None:
+            bound = self._bound[fs] = tuple(
+                (key, device, self.queue_for(device))
+                for key, device in sorted(fs.device_table().items()))
+        return bound
 
     # -- forensic provenance ---------------------------------------------
 

@@ -15,6 +15,7 @@ from repro.devices.tape import TapeCartridge, TapeDevice
 from repro.sim.units import GB, KB, MB, PAGE_SIZE
 
 from tests.oracles.devices import devices_of, use_submit_and_drain
+from tests.oracles.disk import zone_index
 
 ADDRS = st.integers(0, 8 * GB)
 SIZES = st.integers(1, 4 * MB)
@@ -293,3 +294,37 @@ def test_blocking_requests_match_submit_and_drain(kind, seed, program):
             assert (new.run(method, *args, **kwargs)
                     == old.run(method, *args, **kwargs)), (kind, step)
         assert new.state() == old.state(), (kind, step)
+
+
+# -- disk zone lookup against the table scan -----------------------------
+
+#: a zone table: the later zones' start fractions (the first starts at
+#: 0.0), the zones' rates in MB/s and the capacity
+ZONE_TABLES = st.tuples(
+    st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+             unique=True, max_size=8),
+    st.lists(st.floats(0.5, 50.0), min_size=9, max_size=9),
+    st.integers(PAGE_SIZE, 64 * GB))
+
+
+@given(table=ZONE_TABLES,
+       fractions=st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                          max_size=20))
+@settings(deadline=None)
+def test_zone_index_matches_table_scan(table, fractions):
+    """``DiskDevice.zone_index`` (a bisect) equals the scan of the zone
+    table (``tests/oracles/disk.py``) over random zone tables: at 0, at
+    ``capacity - 1``, at every zone edge +-2 and at random addresses."""
+    starts, rates, capacity = table
+    zones = tuple(Zone(start, rate * MB)
+                  for start, rate in zip([0.0, *sorted(starts)], rates))
+    disk = DiskDevice(capacity=capacity, zones=zones,
+                      rng=np.random.default_rng(0))
+    addrs = {0, capacity - 1}
+    for index in range(1, len(zones)):
+        for edge in (disk.zone_range(index)[0],
+                     int(zones[index].start_frac * capacity)):
+            addrs.update(range(edge - 2, edge + 3))
+    addrs.update(int(fraction * capacity) for fraction in fractions)
+    for addr in sorted(a for a in addrs if 0 <= a < capacity):
+        assert disk.zone_index(addr) == zone_index(disk, addr), addr

@@ -15,12 +15,13 @@ for bit:
   per-task stats, per-device stats/component totals, and the final SLED
   vector;
 * ``read_run`` on every device class with a continuation model against a
-  loop of scalar ``read`` calls, over randomized runs across each
-  device's whole capacity and fixed disk runs across every zone edge —
-  durations, running stats, busy horizon, component totals, position
-  and rng stream alignment;
+  loop of scalar ``read`` calls, over randomized runs of one-page,
+  three-page and 64 KiB requests across each device's whole capacity,
+  fixed disk runs across every zone edge and 64 KiB requests that
+  straddle one — durations, running stats, busy horizon, component
+  totals, position and rng stream alignment;
 * ``read_run`` declining before any state moves, and a workload whose
-  runs all decline matching the batched one;
+  runs all decline after boot matching the batched one;
 * the run-based SLED build (residency runs plus batched span
   estimates) against the paper's literal per-page walk
   (``tests/oracles/builder.py``), with and without queue delays, on
@@ -54,7 +55,7 @@ from repro.fs import inode as inode_mod
 from repro.machine import Machine
 from repro.obs.telemetry import Telemetry
 from repro.sim.tasks import EventScheduler, Task
-from repro.sim.units import PAGE_SIZE
+from repro.sim.units import KB, PAGE_SIZE
 
 from tests.oracles.builder import build_sled_vector_full_walk
 from tests.oracles.kernel import (use_per_page_engine_faults,
@@ -186,20 +187,23 @@ DEVICE_FACTORIES = (
 )
 
 
-def _assert_run_matches_reads(device, twin, addr, npages):
+def _assert_run_matches_reads(device, twin, addr, npages,
+                              page_bytes=PAGE_SIZE):
     """``device.read_run`` equals a loop of ``twin.read`` calls in its
-    durations and in the state both devices are left in."""
-    durations = device.read_run(addr, npages, PAGE_SIZE)
+    durations and in the state both devices are left in; returns the
+    durations."""
+    durations = device.read_run(addr, npages, page_bytes)
     assert durations is not None, (
         f"{type(device).__name__} declined a run")
-    expected = [twin.read(addr + i * PAGE_SIZE, PAGE_SIZE)
+    expected = [twin.read(addr + i * page_bytes, page_bytes)
                 for i in range(npages)]
     assert durations == expected, (
-        f"{type(device).__name__}: {npages} pages from {addr}")
+        f"{type(device).__name__}: {npages} x {page_bytes} B from {addr}")
     assert device.stats == twin.stats
     assert device.busy_until == twin.busy_until
     assert device.component_totals == twin.component_totals
     assert device.head_pos == twin.head_pos
+    return durations
 
 
 def _assert_rng_aligned(device, twin):
@@ -210,26 +214,29 @@ def _assert_rng_aligned(device, twin):
 
 @settings(deadline=None)
 @given(seed=st.integers(0, 1000),
+       page_bytes=st.sampled_from((PAGE_SIZE, 3 * PAGE_SIZE, 64 * KB)),
        runs=st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 2**32)),
                                st.integers(1, 64)),
                      min_size=1, max_size=6))
-def test_read_run_matches_scalar_reads(seed, runs):
+def test_read_run_matches_scalar_reads(seed, page_bytes, runs):
     """``read_run`` == a loop of blocking ``read`` calls, bit for bit,
     on every device class with a continuation model, for runs anywhere
     on the device: a run placed at ``None`` continues the previous one,
-    so its first page is a continuation too."""
+    so its first request is a continuation too.  Requests are one page,
+    three pages, or the 64 KiB chunks of the boot bandwidth probe."""
     for make in DEVICE_FACTORIES:
         device = make(np.random.default_rng(seed))
         twin = make(np.random.default_rng(seed))
-        last_page = device.capacity // PAGE_SIZE
-        next_page = 0
+        last = device.capacity // page_bytes
+        following = 0
         for where, npages in runs:
-            if where is None and next_page + npages <= last_page:
-                page = next_page
+            if where is None and following + npages <= last:
+                index = following
             else:
-                page = (where or 0) * (last_page - npages) // 2**32
-            _assert_run_matches_reads(device, twin, page * PAGE_SIZE, npages)
-            next_page = page + npages
+                index = (where or 0) * (last - npages) // 2**32
+            _assert_run_matches_reads(device, twin, index * page_bytes,
+                                      npages, page_bytes)
+            following = index + npages
         _assert_rng_aligned(device, twin)
 
 
@@ -260,6 +267,33 @@ def test_read_run_across_disk_zone_edges(lead_in):
                     assert (device.read(addr - PAGE_SIZE, PAGE_SIZE)
                             == twin.read(addr - PAGE_SIZE, PAGE_SIZE))
                 _assert_run_matches_reads(device, twin, addr, npages)
+    _assert_rng_aligned(device, twin)
+
+
+@pytest.mark.parametrize("lead_in", (False, True))
+def test_read_run_straddles_disk_zone_ends(lead_in):
+    """Three 64 KiB requests, the second starting 1, 5 or 15 pages
+    before a zone end so that it crosses it, match the scalar reads, and
+    the straddling request (a continuation) is priced whole at its
+    starting zone's rate, as the scalar read prices it.  ``lead_in``
+    makes the first request a continuation too; without, it seeks."""
+    chunk = 64 * KB
+    device = DiskDevice(rng=np.random.default_rng(5))
+    twin = DiskDevice(rng=np.random.default_rng(5))
+    for edge in _zone_edge_pages(device):
+        for before in (1, 5, 15):
+            straddler = (edge - before) * PAGE_SIZE
+            addr = straddler - chunk
+            if lead_in:
+                assert (device.read(addr - chunk, chunk)
+                        == twin.read(addr - chunk, chunk))
+            durations = _assert_run_matches_reads(device, twin, addr, 3,
+                                                  chunk)
+            zone = device.zones[device.zone_index(straddler)]
+            assert device.zone_index(straddler + chunk - 1) \
+                == device.zone_index(straddler) + 1
+            assert durations[1] == (device.controller_overhead
+                                    + chunk / zone.bandwidth)
     _assert_rng_aligned(device, twin)
 
 
@@ -318,16 +352,25 @@ def test_read_run_declines_before_state_moves(case):
 def test_declined_runs_match_batched_runs(monkeypatch):
     """With every ``read_run`` declining, the kernel faults each page on
     its own, and the workload's outcome equals the batched one.  The
-    file is larger than the cache, so the blocking sweeps fault."""
+    file is larger than the cache, so the blocking sweeps fault.  Only
+    calls after boot count: boot's bandwidth probes run through
+    ``read_run`` before the observers are attached."""
     returned = []
     read_run = Device.read_run
+    boot = Machine.boot
 
     def recording(device, *args):
         durations = read_run(device, *args)
         returned.append(durations)
         return durations
 
+    def boot_unrecorded(machine):
+        entries = boot(machine)
+        returned.clear()
+        return entries
+
     monkeypatch.setattr(Device, "read_run", recording)
+    monkeypatch.setattr(Machine, "boot", boot_unrecorded)
     batched = _run("ext2", seed=3, pages=320)
     assert returned and all(durations is not None for durations in returned)
     returned.clear()
