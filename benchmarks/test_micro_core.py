@@ -37,7 +37,7 @@ def test_build_sled_vector_fragmented(benchmark):
     """FSLEDS_GET on a worst-case fragmented 8 MB file (every 3rd page
     cached -> ~1365 SLEDs)."""
     fs, inode, cache, table = _fragmented_setup()
-    vector = benchmark(build_sled_vector, cache, fs, inode, table)
+    vector, _ = benchmark(build_sled_vector, cache, fs, inode, table)
     assert len(vector) > 1000
 
 
@@ -48,7 +48,7 @@ def test_build_sled_vector_uniform(benchmark):
     cache = PageCache(64)
     table = SledTable()
     table.fill({"memory": (1e-7, 48 * MB), "ext2": (0.018, 9 * MB)})
-    vector = benchmark(build_sled_vector, cache, fs, inode, table)
+    vector, _ = benchmark(build_sled_vector, cache, fs, inode, table)
     assert len(vector) == 1
 
 

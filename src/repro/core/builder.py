@@ -21,45 +21,78 @@ itself perturb the cache recency the SLEDs describe.
 from __future__ import annotations
 
 from repro.cache.page_cache import PageCache
-from repro.core.sled import Sled, SledVector
+from repro.core.sled import Sled, SledVector, check_sled
 from repro.core.sled_table import SledTable
-from repro.fs.filesystem import FileSystem
+from repro.fs.filesystem import FileSystem, PageEstimate
 from repro.fs.inode import Inode
 from repro.sim.units import PAGE_SIZE
 
+#: One run of the fold: ``(pages, latency, bandwidth, device key,
+#: filesystem queue delay)``.  ``latency`` is what the SLED promises,
+#: queue terms included; a resident run has no device key and no queue
+#: delay.  The filesystem's own queue delay
+#: (:attr:`~repro.fs.filesystem.PageEstimate.queue_delay`) is kept apart
+#: from the engine's, which moves with the clock.
+Run = tuple[int, float, float, str | None, float]
 
-def _emit(levels: list[tuple[int, tuple[float, float]]],
-          size: int) -> SledVector:
-    """Fold per-run levels (lengths in pages, in file order) into SLEDs,
-    merging same-level neighbours; the last SLED is clamped to ``size``.
+_new_tuple = tuple.__new__
 
-    The fold's output is already sorted and merged, so the vector skips
-    its own coalescing pass (validation still runs)."""
+
+def _emit(runs: list[Run], size: int) -> SledVector:
+    """Fold the runs (in file order) into SLEDs, merging same-level
+    neighbours; the last SLED is clamped to ``size``.
+
+    Each SLED is checked once, as it closes and in file order, by
+    :func:`~repro.core.sled.check_sled`, so a filesystem's bad answer
+    raises what the ``Sled`` constructor raises.  The checked fields are
+    then packed straight into tuples, and the vector skips its sort."""
     sleds: list[Sled] = []
-    page_cursor = 0
-    run_start = 0
-    run_level: tuple[float, float] | None = None
-    for run_pages, level in levels:
-        if run_level is None:
-            run_level = level
-        elif level != run_level:
-            offset = run_start * PAGE_SIZE
-            end = page_cursor * PAGE_SIZE
-            sleds.append(Sled(offset, end - offset, *run_level))
-            run_start = page_cursor
-            run_level = level
-        page_cursor += run_pages
-    assert run_level is not None
-    offset = run_start * PAGE_SIZE
-    sleds.append(Sled(offset, size - offset, *run_level))
-    return SledVector(sleds, file_size=size, coalesce=False)
+    _, latency, bandwidth, _, _ = runs[0]
+    start = page = 0
+    for pages, run_latency, run_bandwidth, _, _ in runs:
+        if run_latency != latency or run_bandwidth != bandwidth:
+            offset = start * PAGE_SIZE
+            length = (page - start) * PAGE_SIZE
+            check_sled(offset, length, latency, bandwidth)
+            sleds.append(_new_tuple(Sled, (offset, length, latency,
+                                           bandwidth)))
+            start, latency, bandwidth = page, run_latency, run_bandwidth
+        page += pages
+    offset = start * PAGE_SIZE
+    check_sled(offset, size - offset, latency, bandwidth)
+    sleds.append(_new_tuple(Sled, (offset, size - offset, latency,
+                                   bandwidth)))
+    return SledVector.ordered(sleds, size)
+
+
+def _price(estimate: PageEstimate, table: SledTable,
+           queue_delays: dict[str, float] | None
+           ) -> tuple[float, float, str, float]:
+    """``(latency, bandwidth, device key, filesystem queue delay)`` of a
+    non-resident run: the estimate's figures, or the sleds-table row's
+    where it gives none, with both queue terms added to the latency."""
+    key = estimate.device_key
+    queue = estimate.queue_delay
+    extra = queue
+    if queue_delays:
+        extra += queue_delays.get(key, 0.0)
+    latency = estimate.latency
+    bandwidth = estimate.bandwidth
+    if latency is None or bandwidth is None:
+        fallback = table.lookup(key)
+        if latency is None:
+            latency = fallback.latency
+        if bandwidth is None:
+            bandwidth = fallback.bandwidth
+    return latency + extra, bandwidth, key, queue
 
 
 def build_sled_vector(cache: PageCache, fs: FileSystem, inode: Inode,
                       table: SledTable,
                       queue_delays: dict[str, float] | None = None,
-                      ) -> SledVector:
-    """The FSLEDS_GET payload: a validated SLED vector for ``inode``.
+                      ) -> tuple[SledVector, list[Run]]:
+    """The FSLEDS_GET payload: a validated SLED vector for ``inode``,
+    and the runs it was folded from.
 
     Cost is O(resident runs + estimate runs), not O(npages) and not even
     O(resident pages): resident *intervals* come straight from the
@@ -72,34 +105,32 @@ def build_sled_vector(cache: PageCache, fs: FileSystem, inode: Inode,
     of non-resident runs by the current wait behind each device's queue;
     resident (memory-level) runs are untouched — cached pages don't queue.
 
-    The walk collects one (pages, level) entry per run and
-    :func:`_emit` folds them into SLEDs.  At the few dozen runs these
-    vectors reach, the scalar fold is faster than a numpy group-by,
-    which only wins from about 512 runs (docs/performance.md, "The
-    multi-tenant path").
+    The walk prices each estimate it meets once (filesystems share one
+    estimate per storage level) and collects one :data:`Run` per
+    resident or estimate run; :func:`_emit` folds them into SLEDs.  The
+    kernel keeps the runs beside the vector, and telemetry's accuracy
+    snapshot is built from them, so no second walk is needed.  At the few
+    dozen runs these vectors reach, the scalar fold is faster than a
+    numpy group-by, which only wins from about 512 runs
+    (docs/performance.md, "The multi-tenant path").
     """
     size = inode.size
     if size == 0:
-        return SledVector([], file_size=0)
+        return SledVector([], file_size=0), []
     npages = inode.npages
     row = table.memory
-    memory = (row.latency, row.bandwidth)
-    levels: list[tuple[int, tuple[float, float]]] = []
+    memory_latency, memory_bandwidth = row.latency, row.bandwidth
+    runs: list[Run] = []
+    priced = level = None
 
     def gap(start: int, n: int) -> None:
+        nonlocal priced, level
         for run_pages, estimate in fs.span_estimates(inode, start, n):
-            extra = estimate.queue_delay
-            if queue_delays:
-                extra += queue_delays.get(estimate.device_key, 0.0)
-            latency = estimate.latency
-            bandwidth = estimate.bandwidth
-            if latency is None or bandwidth is None:
-                fallback = table.lookup(estimate.device_key)
-                if latency is None:
-                    latency = fallback.latency
-                if bandwidth is None:
-                    bandwidth = fallback.bandwidth
-            levels.append((run_pages, (latency + extra, bandwidth)))
+            if estimate is not priced:
+                priced = estimate
+                level = _price(estimate, table, queue_delays)
+            latency, bandwidth, key, queue = level
+            runs.append((run_pages, latency, bandwidth, key, queue))
 
     profiler = cache.profiler
     if profiler is None:
@@ -112,9 +143,9 @@ def build_sled_vector(cache: PageCache, fs: FileSystem, inode: Inode,
     for start, end in resident:
         if start > cursor:
             gap(cursor, start - cursor)
-        levels.append((end - start, memory))
+        runs.append((end - start, memory_latency, memory_bandwidth, None,
+                     0.0))
         cursor = end
     if cursor < npages:
         gap(cursor, npages - cursor)
-    return _emit(levels, size)
-
+    return _emit(runs, size), runs

@@ -30,6 +30,24 @@ class _SledFields(NamedTuple):
     bandwidth: float
 
 
+def check_sled(offset: int, length: int, latency: float,
+               bandwidth: float) -> None:
+    """Raise ``ValueError`` unless the four fields make a valid SLED.
+
+    The one place a SLED's field rules and messages live: the
+    constructor calls it, and so does the kernel's fold, which builds
+    its SLED tuples without the constructor.
+    """
+    if offset < 0:
+        raise ValueError(f"negative SLED offset: {offset}")
+    if length <= 0:
+        raise ValueError(f"non-positive SLED length: {length}")
+    if latency < 0:
+        raise ValueError(f"negative SLED latency: {latency}")
+    if bandwidth <= 0:
+        raise ValueError(f"non-positive SLED bandwidth: {bandwidth}")
+
+
 class Sled(_SledFields):
     """Estimated retrieval characteristics of one contiguous file segment.
 
@@ -44,14 +62,7 @@ class Sled(_SledFields):
 
     def __new__(cls, offset: int, length: int, latency: float,
                 bandwidth: float) -> "Sled":
-        if offset < 0:
-            raise ValueError(f"negative SLED offset: {offset}")
-        if length <= 0:
-            raise ValueError(f"non-positive SLED length: {length}")
-        if latency < 0:
-            raise ValueError(f"negative SLED latency: {latency}")
-        if bandwidth <= 0:
-            raise ValueError(f"non-positive SLED bandwidth: {bandwidth}")
+        check_sled(offset, length, latency, bandwidth)
         return tuple.__new__(cls, (offset, length, latency, bandwidth))
 
     @classmethod
@@ -99,6 +110,16 @@ class SledVector:
         self._sleds: tuple[Sled, ...] = tuple(items)
         self.file_size = (file_size if file_size is not None
                           else (items[-1].end if items else 0))
+
+    @classmethod
+    def ordered(cls, sleds: list[Sled], file_size: int) -> "SledVector":
+        """A vector of SLEDs already in file order and already merged,
+        such as the kernel's fold emits: validated, not sorted."""
+        cls._validate(sleds, file_size)
+        vector = object.__new__(cls)
+        vector._sleds = tuple(sleds)
+        vector.file_size = file_size
+        return vector
 
     @staticmethod
     def _coalesce(items: list[Sled]) -> list[Sled]:

@@ -151,11 +151,12 @@ class Kernel:
         self._unlinked: set[int] = set()
         #: inode.id -> (fs, inode, set of dirty page indices)
         self._dirty: dict[int, tuple[FileSystem, Inode, set[int]]] = {}
-        #: inode.id -> (stamp, vector): FSLEDS_GET results cached until the
-        #: stamp — (cache generation, fs state epoch, sleds-table version,
-        #: and, with an engine attached, the per-device congestion epochs)
-        #: — moves, making refetch O(changed-state) instead of O(file-pages)
-        self._sled_cache: dict[int, tuple[tuple, SledVector]] = {}
+        #: inode.id -> (stamp, vector, runs): FSLEDS_GET results, with the
+        #: runs the builder folded them from, cached until the stamp —
+        #: (cache generation, fs state epoch, sleds-table version, and,
+        #: with an engine attached, the per-device congestion epochs) —
+        #: moves, making refetch O(changed-state) instead of O(file-pages)
+        self._sled_cache: dict[int, tuple[tuple, SledVector, list]] = {}
         #: optional event tracer (see repro.sim.trace); None = no tracing
         self.tracer = None
         #: optional telemetry facade (see repro.obs.telemetry); None = off.
@@ -1094,7 +1095,12 @@ class Kernel:
                     self.counters.sleds_cache_hits += 1
                     # stamp comparison only: flat cost, no page walk
                     self.charge_cpu(0.2 * USEC)
-                    vector = cached[1]
+                    _, vector, runs = cached
+                    if tele is not None and self.engine is not None:
+                        # the snapshot's queue terms are the delays read
+                        # now, for attribution only (no clock, no RNG)
+                        queue_delays = self.engine.queue_delays(
+                            of.fs, self.clock.now, self.current_tenant)
                 else:
                     queue_delays = (
                         self.engine.queue_delays(of.fs, self.clock.now,
@@ -1103,7 +1109,7 @@ class Kernel:
                     profiler = self.profiler
                     if profiler is not None:
                         t0 = profiler.begin()
-                    vector = build_sled_vector(
+                    vector, runs = build_sled_vector(
                         self.page_cache, of.fs, of.inode, self.sleds_table,
                         queue_delays=queue_delays)
                     if profiler is not None:
@@ -1111,16 +1117,9 @@ class Kernel:
                     # kernel walks the file's state: charge ~0.2 us per page
                     self.charge_cpu(of.inode.npages * 0.2 * USEC)
                     self.counters.sleds_builds += 1
-                    self._sled_cache[inode_id] = (stamp, vector)
+                    self._sled_cache[inode_id] = (stamp, vector, runs)
                 if tele is not None:
-                    if queue_delays is None and self.engine is not None:
-                        # cache-hit path: same stamp ⇒ same congestion
-                        # epochs; recompute the delays for attribution
-                        # only (no clock, no RNG)
-                        queue_delays = self.engine.queue_delays(
-                            of.fs, self.clock.now, self.current_tenant)
-                    tele.on_sleds(inode_id, vector, fs=of.fs,
-                                  inode=of.inode, queue_delays=queue_delays)
+                    tele.on_sleds(inode_id, vector, runs, queue_delays)
                 return vector
             raise UnknownIoctlError(cmd)
         finally:
@@ -1128,13 +1127,18 @@ class Kernel:
                 tele.syscall_end(span, self.clock.now)
 
     def _sled_stamp(self, of: OpenFile) -> tuple:
-        """The validity stamp of a cached SLED vector: moves whenever any
-        input of the builder can have changed for this inode.
+        """The validity stamp of a cached SLED vector: moves whenever the
+        layout inputs of the builder can have changed for this inode —
+        residency, filesystem state, the sleds table.
 
         With an I/O engine attached the stamp also folds in each device
         queue's congestion epoch — queue churn changes the queue-delay
         term ``FSLEDS_GET`` adds to non-resident latencies, so cached
         vectors built under different congestion must not be reused.
+        The stamp does not cover the clock, yet that term also reads
+        ``now`` (an in-flight request's remainder, a device's busy
+        horizon), so a stamp hit can return queue terms that a build at
+        the same instant would price differently.
         """
         base = (self.page_cache.generation(of.inode.id),
                 of.fs.state_epoch,

@@ -6,8 +6,9 @@ answers the question the paper never quantifies for our simulator: how
 close are those guesses to what the kernel subsequently measures?
 
 Mechanism: when the kernel serves ``FSLEDS_GET`` with telemetry attached,
-the tracker snapshots the predicted (latency, bandwidth) of every page in
-the returned vector.  Later, when a page is actually delivered —
+the tracker snapshots the predicted (latency, bandwidth, queue term) of
+every page in the returned vector, from the runs the kernel folded the
+vector from.  Later, when a page is actually delivered —
 
 * a **hard fault** reads a cluster from a device: the actual time is the
   device access; the prediction is the lead page's SLED applied to the
@@ -30,7 +31,8 @@ run bounds with one prediction tuple per run, plus the set of pages
 already consumed.  Snapshotting is O(runs), and a fault or a resident
 run settles by range; samples are still added one page at a time, in
 page order, so every sum is the one a per-page store gives
-(``tests/oracles/accuracy.py`` keeps that store as the oracle).
+(``tests/oracles/accuracy.py`` keeps that store as the oracle, and the
+second walk over the file and its vector that snapshots used to take).
 """
 
 from __future__ import annotations
@@ -223,47 +225,34 @@ class SledAccuracyTracker:
 
     # -- snapshotting -----------------------------------------------------
 
-    def record_prediction(self, inode_id: int, vector,
-                          queue_runs: list[tuple[int, int, float]] | None
-                          = None) -> int:
-        """Snapshot per-page predictions from one SLED vector.
+    def record_runs(self, inode_id: int, runs,
+                    queue_delays: dict[str, float] | None = None) -> int:
+        """Snapshot the predictions of one ``FSLEDS_GET`` from the runs
+        its vector was folded from (:data:`repro.core.builder.Run`:
+        pages, latency, bandwidth, device key, filesystem queue delay).
 
         Returns the number of pages snapshotted.  Re-asking for SLEDs on
-        the same file replaces its outstanding predictions.
-        ``queue_runs`` names how much of each page's predicted latency
-        is queue delay, as sorted disjoint ``(start page, end page,
-        seconds)`` runs (pages outside them predict zero queueing).
-
-        A page takes the SLED holding its first byte.  The walk goes
-        run by run — SLEDs split where a queue run starts or ends — and
-        every page of a run shares one prediction tuple.
+        the same file replaces its outstanding predictions.  Every page
+        of a run shares one prediction tuple.  A run's queue term is its
+        filesystem queue delay plus its device's entry in
+        ``queue_delays`` (device key -> seconds): the delays the vector's
+        build folded in, or, for a vector served from the kernel's
+        cache, the delays read now.  A resident run has no device and
+        predicts no queueing.  O(runs).
         """
-        npages = (vector.file_size + PAGE_SIZE - 1) // PAGE_SIZE
+        delays = queue_delays or {}
         starts: list[int] = []
         ends: list[int] = []
         predictions: list[tuple[float, float, float]] = []
-        queues = queue_runs or ()
-        q = 0
-        for sled in vector:
-            offset = sled.offset
-            page = -(-offset // PAGE_SIZE)
-            stop = min(-(-(offset + sled.length) // PAGE_SIZE), npages)
-            while page < stop:
-                while q < len(queues) and queues[q][1] <= page:
-                    q += 1  # that queue run ended before this page
-                if q == len(queues):
-                    end, queue = stop, 0.0
-                elif queues[q][0] <= page:
-                    end, queue = min(stop, queues[q][1]), queues[q][2]
-                else:
-                    end, queue = min(stop, queues[q][0]), 0.0
-                starts.append(page)
-                ends.append(end)
-                predictions.append((sled.latency, sled.bandwidth, queue))
-                page = end
-        # a vector covers its whole file, so the runs tile every page
-        self._tables[inode_id] = _Table(starts, ends, predictions, npages)
-        return npages
+        page = 0
+        for pages, latency, bandwidth, key, queue in runs:
+            starts.append(page)
+            page += pages
+            ends.append(page)
+            predictions.append((latency, bandwidth,
+                                queue + delays.get(key, 0.0)))
+        self._tables[inode_id] = _Table(starts, ends, predictions, page)
+        return page
 
     def drop(self, inode_id: int) -> None:
         """Forget ``inode_id``'s predictions (its file was truncated)."""
@@ -323,8 +312,10 @@ class SledAccuracyTracker:
 
     def _record_component(self, device_class: str, component: str,
                           predicted: float, actual: float) -> None:
-        acc = self._by_component.setdefault((device_class, component),
-                                            ClassAccuracy())
+        key = (device_class, component)
+        acc = self._by_component.get(key)
+        if acc is None:
+            acc = self._by_component[key] = ClassAccuracy()
         acc.add(predicted, actual)
 
     # -- reporting --------------------------------------------------------

@@ -438,52 +438,14 @@ class Telemetry:
             components=components, merged_from=merged_from,
             tenant=tenant)
 
-    def on_sleds(self, inode_id: int, vector, fs=None, inode=None,
+    def on_sleds(self, inode_id: int, vector, runs,
                  queue_delays=None) -> None:
+        """``FSLEDS_GET`` served ``vector``, folded from ``runs``; the
+        accuracy snapshot takes each run's queue term from
+        ``queue_delays`` (see :meth:`SledAccuracyTracker.record_runs`)."""
         self.sleds_requests.inc()
         self.sleds_vector_sleds.observe(len(vector))
-        queue_runs = None
-        if fs is not None and inode is not None and queue_delays:
-            queue_runs = self._queue_runs(fs, inode, queue_delays)
-        self.accuracy.record_prediction(inode_id, vector,
-                                        queue_runs=queue_runs)
-
-    def _queue_runs(self, fs, inode, queue_delays
-                    ) -> list[tuple[int, int, float]]:
-        """Split each non-resident page's predicted latency into its
-        queue term (what build_sled_vector folded in) and the rest, so
-        fault-time errors attribute to queue vs. service: the page runs
-        ``(start, end, queue seconds)`` with a positive queue term, in
-        file order — the filesystem's estimate runs minus the cache's
-        resident runs."""
-        npages = inode.npages
-        cache = self._kernel.page_cache if self._kernel else None
-        gaps = []  # non-resident page runs
-        cursor = 0
-        if cache is not None:
-            for start, stop in cache.resident_runs(inode.id, npages):
-                if start > cursor:
-                    gaps.append((cursor, start))
-                cursor = stop
-        if cursor < npages:
-            gaps.append((cursor, npages))
-        runs = []
-        g = 0
-        page = 0
-        for run, estimate in fs.span_estimates(inode, 0, npages):
-            end = page + run
-            queue = estimate.queue_delay + queue_delays.get(
-                estimate.device_key, 0.0)
-            if queue > 0.0:
-                while g < len(gaps) and gaps[g][1] <= page:
-                    g += 1
-                k = g
-                while k < len(gaps) and gaps[k][0] < end:
-                    runs.append((max(page, gaps[k][0]),
-                                 min(end, gaps[k][1]), queue))
-                    k += 1
-            page = end
-        return runs
+        self.accuracy.record_runs(inode_id, runs, queue_delays)
 
     def on_migration(self, files: int, seconds: float) -> None:
         self.migrated_files.inc(files)

@@ -8,9 +8,14 @@ drive both with the same calls and require the same outstanding counts,
 reports, dumps and histogram lines, and the same predictions in page
 order (:func:`expand_predictions`).
 
-Also here: the per-page loops ``record_prediction`` and
-``Telemetry.on_sleds`` replaced — a residency peek per page for the
-queue split, a binary search per page for the prediction.
+Also here: the reference snapshot path.  ``FSLEDS_GET`` snapshots its
+predictions from the runs the kernel's fold built the vector from
+(``SledAccuracyTracker.record_runs``).  Before that, telemetry walked
+the file a second time for the queue split (:func:`queue_runs`: the
+filesystem's estimate runs minus the cache's resident runs) and then
+the returned vector SLED by SLED (:func:`vector_runs`); before those,
+a residency peek and a binary search per page (:func:`queue_by_page`,
+:func:`predictions_per_page`).
 """
 
 from __future__ import annotations
@@ -19,9 +24,80 @@ from repro.obs.accuracy import SledAccuracyTracker
 from repro.sim.units import PAGE_SIZE
 
 
+def queue_runs(kernel, fs, inode, queue_delays
+               ) -> list[tuple[int, int, float]] | None:
+    """Split each non-resident page's predicted latency into its queue
+    term and the rest: the page runs ``(start, end, queue seconds)`` with
+    a positive queue term, in file order — the filesystem's estimate
+    runs over the whole file minus the cache's resident runs (None when
+    there are no queue delays)."""
+    if fs is None or inode is None or not queue_delays:
+        return None
+    npages = inode.npages
+    cache = kernel.page_cache if kernel is not None else None
+    gaps = []  # non-resident page runs
+    cursor = 0
+    if cache is not None:
+        for start, stop in cache.resident_runs(inode.id, npages):
+            if start > cursor:
+                gaps.append((cursor, start))
+            cursor = stop
+    if cursor < npages:
+        gaps.append((cursor, npages))
+    runs = []
+    g = 0
+    page = 0
+    for run, estimate in fs.span_estimates(inode, 0, npages):
+        end = page + run
+        queue = estimate.queue_delay + queue_delays.get(
+            estimate.device_key, 0.0)
+        if queue > 0.0:
+            while g < len(gaps) and gaps[g][1] <= page:
+                g += 1
+            k = g
+            while k < len(gaps) and gaps[k][0] < end:
+                runs.append((max(page, gaps[k][0]),
+                             min(end, gaps[k][1]), queue))
+                k += 1
+        page = end
+    return runs
+
+
+def vector_runs(vector, queue_runs=None) -> list:
+    """The snapshot runs of ``vector``, walked SLED by SLED, in the
+    form ``SledAccuracyTracker.record_runs`` takes with no queue delays:
+    ``(pages, latency, bandwidth, None, queue)``.
+
+    A page takes the SLED holding its first byte.  SLEDs split where a
+    run of ``queue_runs`` (sorted disjoint ``(start page, end page,
+    seconds)``; pages outside them predict zero queueing) starts or
+    ends, and every page of a run shares one prediction."""
+    npages = (vector.file_size + PAGE_SIZE - 1) // PAGE_SIZE
+    runs = []
+    queues = queue_runs or ()
+    q = 0
+    for sled in vector:
+        offset = sled.offset
+        page = -(-offset // PAGE_SIZE)
+        stop = min(-(-(offset + sled.length) // PAGE_SIZE), npages)
+        while page < stop:
+            while q < len(queues) and queues[q][1] <= page:
+                q += 1  # that queue run ended before this page
+            if q == len(queues):
+                end, queue = stop, 0.0
+            elif queues[q][0] <= page:
+                end, queue = min(stop, queues[q][1]), queues[q][2]
+            else:
+                end, queue = min(stop, queues[q][0]), 0.0
+            runs.append((end - page, sled.latency, sled.bandwidth, None,
+                         queue))
+            page = end
+    return runs
+
+
 def queue_by_page(kernel, fs, inode, queue_delays) -> dict[int, float] | None:
-    """Each non-resident page's queue term, as ``Telemetry.on_sleds``
-    computed it (pages absent predict zero queueing)."""
+    """Each non-resident page's queue term, one residency peek per page
+    (pages absent predict zero queueing)."""
     if fs is None or inode is None or not queue_delays:
         return None
     cache = kernel.page_cache if kernel is not None else None
@@ -78,13 +154,15 @@ class PerPageAccuracyTracker(SledAccuracyTracker):
         self._predictions: dict[tuple[int, int],
                                 tuple[float, float, float]] = {}
 
-    def record_prediction(self, inode_id: int, vector,
-                          queue_runs=None) -> int:
-        queues = {page: queue for lo, hi, queue in queue_runs or ()
-                  for page in range(lo, hi)}
-        snapshot = predictions_per_page(inode_id, vector, queues)
-        self._predictions.update(snapshot)
-        return len(snapshot)
+    def record_runs(self, inode_id: int, runs, queue_delays=None) -> int:
+        delays = queue_delays or {}
+        page = 0
+        for pages, latency, bandwidth, key, queue in runs:
+            prediction = (latency, bandwidth, queue + delays.get(key, 0.0))
+            for p in range(page, page + pages):
+                self._predictions[(inode_id, p)] = prediction
+            page += pages
+        return page
 
     def drop(self, inode_id: int) -> None:
         for key in [key for key in self._predictions if key[0] == inode_id]:

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataclasses import replace
+
 from repro.cache.page_cache import PageCache
 from repro.core.builder import build_sled_vector
 from repro.core.sled_table import SledTable
@@ -12,6 +14,9 @@ from repro.devices.disk import DiskDevice
 from repro.devices.network import NfsDevice
 from repro.fs.filesystem import Ext2Like, Iso9660Like
 from repro.fs.nfs import NfsLike
+from repro.kernel.ioctl import FSLEDS_FILL
+from repro.kernel.kernel import Kernel
+from repro.sim.rng import RngStreams
 from repro.sim.units import MB, PAGE_SIZE
 
 import numpy as np
@@ -45,7 +50,7 @@ class TestPageLevel:
 class TestBuildVector:
     def test_cold_file_single_sled(self):
         fs, inode, cache, table = _setup()
-        vector = build_sled_vector(cache, fs, inode, table)
+        vector, _ = build_sled_vector(cache, fs, inode, table)
         assert len(vector) == 1
         assert vector[0].latency == 0.018
 
@@ -53,7 +58,7 @@ class TestBuildVector:
         fs, inode, cache, table = _setup()
         for page in range(inode.npages):
             cache.insert((inode.id, page))
-        vector = build_sled_vector(cache, fs, inode, table)
+        vector, _ = build_sled_vector(cache, fs, inode, table)
         assert len(vector) == 1
         assert vector[0].latency == 1e-7
 
@@ -61,7 +66,7 @@ class TestBuildVector:
         fs, inode, cache, table = _setup(file_pages=8)
         for page in (0, 1, 4, 5):
             cache.insert((inode.id, page))
-        vector = build_sled_vector(cache, fs, inode, table)
+        vector, _ = build_sled_vector(cache, fs, inode, table)
         assert len(vector) == 4
         assert [s.latency for s in vector] == [1e-7, 0.018, 1e-7, 0.018]
 
@@ -71,14 +76,14 @@ class TestBuildVector:
         cache = PageCache(16)
         table = SledTable()
         table.fill({"memory": (1e-7, 48 * MB), "ext2": (0.018, 9 * MB)})
-        vector = build_sled_vector(cache, fs, inode, table)
+        vector, _ = build_sled_vector(cache, fs, inode, table)
         assert vector.file_size == 3 * PAGE_SIZE + 100
         assert vector[len(vector) - 1].end == 3 * PAGE_SIZE + 100
 
     def test_empty_file(self):
         fs, _, cache, table = _setup()
         inode = fs.create_file("empty", 0)
-        vector = build_sled_vector(cache, fs, inode, table)
+        vector, _ = build_sled_vector(cache, fs, inode, table)
         assert len(vector) == 0
 
     @given(st.sets(st.integers(0, 31)), st.integers(1, 32 * PAGE_SIZE))
@@ -94,7 +99,7 @@ class TestBuildVector:
         for page in cached_pages:
             if page < inode.npages:
                 cache.insert((inode.id, page))
-        vector = build_sled_vector(cache, fs, inode, table)
+        vector, _ = build_sled_vector(cache, fs, inode, table)
         assert sum(s.length for s in vector) == size
         for page in range(inode.npages):
             sled = vector.sled_at(page * PAGE_SIZE)
@@ -117,8 +122,8 @@ class TestBuildVector:
         for page in cached_pages:
             if page < inode.npages:
                 cache.insert((inode.id, page))
-        assert (build_sled_vector(cache, fs, inode, table)
-                == build_sled_vector_full_walk(cache, fs, inode, table))
+        vector, _ = build_sled_vector(cache, fs, inode, table)
+        assert vector == build_sled_vector_full_walk(cache, fs, inode, table)
 
     def test_stale_residency_outside_file_ignored(self):
         """Index entries past EOF (e.g. after an external shrink) must not
@@ -126,7 +131,7 @@ class TestBuildVector:
         fs, inode, cache, table = _setup(file_pages=4)
         cache.insert((inode.id, 2))
         cache.insert((inode.id, 99))  # beyond the file
-        vector = build_sled_vector(cache, fs, inode, table)
+        vector, _ = build_sled_vector(cache, fs, inode, table)
         assert sum(s.length for s in vector) == inode.size
         assert vector == build_sled_vector_full_walk(cache, fs, inode, table)
 
@@ -167,7 +172,7 @@ class TestSpanEstimatesContract:
             return Iso9660Like.page_estimate(fs, inode, page_index)
 
         fs.page_estimate = counted
-        vector = build_sled_vector(cache, fs, inode, table)
+        vector, _ = build_sled_vector(cache, fs, inode, table)
         assert calls == []
         assert fs.span_estimates(inode, 3, 497) == [
             (497, Iso9660Like.page_estimate(fs, inode, 3))]
@@ -190,3 +195,53 @@ class TestSpanEstimatesContract:
         first = fs.span_estimates(inode, 0, 16)
         again = fs.span_estimates(inode, 3, 13)
         assert first[0][1] is again[0][1] is fs.page_estimate(inode, 3)
+
+
+class _BadEstimates(Ext2Like):
+    """An ext2 whose span estimates carry one malformed answer: a
+    negative latency, a zero bandwidth, or an extra zero-length run at a
+    level of its own, before the real runs of each span or after those
+    of the span that ends the file."""
+
+    def __init__(self, device, fault: str) -> None:
+        super().__init__(device, name="ext2")
+        self.fault = fault
+
+    def span_estimates(self, inode, start_page, npages):
+        runs = super().span_estimates(inode, start_page, npages)
+        estimate = runs[0][1]
+        if self.fault == "latency":
+            return [(n, replace(e, latency=-0.5)) for n, e in runs]
+        if self.fault == "bandwidth":
+            return [(n, replace(e, bandwidth=0.0)) for n, e in runs]
+        other = replace(estimate, latency=0.25)
+        if self.fault == "leading empty run":
+            return [(0, other), *runs]
+        if start_page + npages == inode.npages:
+            return [*runs, (0, other)]
+        return runs
+
+
+class TestMalformedEstimates:
+    """``FSLEDS_GET`` checks what the fold builds: a filesystem's bad
+    answer raises the ``ValueError`` a ``Sled`` with those fields raises,
+    with the same text as the ``Sled``-per-SLED fold it replaced."""
+
+    @pytest.mark.parametrize("fault, message", [
+        ("latency", "negative SLED latency: -0.5"),
+        ("bandwidth", "non-positive SLED bandwidth: 0.0"),
+        ("leading empty run", "non-positive SLED length: 0"),
+        # the last SLED is clamped to the file's 700-byte-short last page
+        ("trailing empty run", "non-positive SLED length: -700"),
+    ])
+    def test_fsleds_get_raises(self, fault, message):
+        kernel = Kernel(cache_pages=16, rng=RngStreams(7))
+        fs = _BadEstimates(DiskDevice(rng=np.random.default_rng(1)), fault)
+        kernel.mount("/", fs)
+        fs.create_file("f", 8 * PAGE_SIZE - 700)
+        kernel.ioctl(-1, FSLEDS_FILL, {"memory": (1e-7, 48 * MB),
+                                       "ext2": (0.018, 9 * MB)})
+        fd = kernel.open("/f")
+        kernel.pread(fd, 2 * PAGE_SIZE, PAGE_SIZE)  # one resident page
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            kernel.get_sleds(fd)

@@ -5,7 +5,8 @@ is long loaded: on CPython 3.11 a ``from repro.sim.errors import
 IoSimError`` costs ~1-1.4 us, several times the price of the 4 KiB
 memory copy every read and write charges.  This test disassembles every
 function and method of the modules on the request, syscall and SLED
-paths, nested code objects included, and fails on any ``IMPORT_NAME`` outside
+paths (the telemetry hooks and the SLED accuracy snapshot among them),
+nested code objects included, and fails on any ``IMPORT_NAME`` outside
 ``ALLOWED``: cold functions and one import cycle, each with its reason.
 """
 
@@ -29,7 +30,8 @@ MODULES = sorted(
     + ["repro.core.builder", "repro.core.pick", "repro.core.sled",
        "repro.fs.filesystem", "repro.fs.nfs", "repro.fs.hsmfs",
        "repro.kernel.kernel", "repro.block.scheduler", "repro.block.merge",
-       "repro.sim.clock", "repro.sim.events", "repro.sim.engine"])
+       "repro.sim.clock", "repro.sim.events", "repro.sim.engine",
+       "repro.obs.accuracy", "repro.obs.telemetry"])
 
 #: (module, function) -> why an import may run inside it
 ALLOWED = {
@@ -42,6 +44,8 @@ ALLOWED = {
         "builds the TelemetryBatch once per telemetry attached",
     ("repro.block.merge", "plain_read_path"):
         "import cycle: repro.sim -> sim.engine -> block.merge -> repro.fs",
+    ("repro.obs.telemetry", "Telemetry.enable_timeseries"):
+        "cold: runs once per time-series recorder enabled",
 }
 
 

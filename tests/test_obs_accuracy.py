@@ -10,11 +10,19 @@ from repro.obs import Telemetry
 from repro.obs.accuracy import ClassAccuracy, SledAccuracyTracker
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.units import PAGE_SIZE
+from tests.oracles.accuracy import (PerPageAccuracyTracker,
+                                    expand_predictions,
+                                    predictions_per_page, vector_runs)
 
 
 def _vector(npages=4, latency=0.018, bandwidth=9e6):
     size = npages * PAGE_SIZE
     return SledVector([Sled(0, size, latency, bandwidth)], file_size=size)
+
+
+def _record(tracker, inode_id, vector, queue_runs=None) -> int:
+    """Snapshot ``vector`` through the tracker's one table builder."""
+    return tracker.record_runs(inode_id, vector_runs(vector, queue_runs))
 
 
 class TestClassAccuracy:
@@ -36,7 +44,7 @@ class TestClassAccuracy:
 class TestTracker:
     def test_fault_consumes_whole_cluster(self):
         tracker = SledAccuracyTracker()
-        tracker.record_prediction(1, _vector(npages=4))
+        _record(tracker, 1, _vector(npages=4))
         assert tracker.outstanding == 4
         tracker.record_fault(1, 0, cluster=4, actual_seconds=0.02,
                              device_class="disk")
@@ -46,8 +54,7 @@ class TestTracker:
 
     def test_fault_error_math(self):
         tracker = SledAccuracyTracker()
-        tracker.record_prediction(1, _vector(npages=2, latency=0.01,
-                                             bandwidth=1e6))
+        _record(tracker, 1, _vector(npages=2, latency=0.01, bandwidth=1e6))
         predicted = 0.01 + (2 * PAGE_SIZE) / 1e6
         tracker.record_fault(1, 0, cluster=2, actual_seconds=predicted + 0.005,
                              device_class="disk")
@@ -57,8 +64,7 @@ class TestTracker:
 
     def test_hit_uses_single_page_transfer(self):
         tracker = SledAccuracyTracker()
-        tracker.record_prediction(1, _vector(npages=1, latency=0.0,
-                                             bandwidth=1e6))
+        _record(tracker, 1, _vector(npages=1, latency=0.0, bandwidth=1e6))
         predicted = PAGE_SIZE / 1e6
         tracker.record_hit(1, 0, actual_seconds=predicted)
         acc = tracker.report().by_class["memory"]
@@ -67,7 +73,7 @@ class TestTracker:
 
     def test_predictions_consumed_on_first_use(self):
         tracker = SledAccuracyTracker()
-        tracker.record_prediction(1, _vector(npages=1))
+        _record(tracker, 1, _vector(npages=1))
         tracker.record_hit(1, 0, actual_seconds=0.001)
         tracker.record_hit(1, 0, actual_seconds=0.001)  # no prediction left
         assert tracker.report().by_class["memory"].samples == 1
@@ -87,14 +93,14 @@ class TestTracker:
 
     def test_reask_refreshes_predictions(self):
         tracker = SledAccuracyTracker()
-        tracker.record_prediction(1, _vector(npages=2))
-        tracker.record_prediction(1, _vector(npages=2))
+        _record(tracker, 1, _vector(npages=2))
+        _record(tracker, 1, _vector(npages=2))
         assert tracker.outstanding == 2
 
     def test_registry_histogram_fed(self):
         registry = MetricsRegistry()
         tracker = SledAccuracyTracker(registry=registry)
-        tracker.record_prediction(1, _vector(npages=1))
+        _record(tracker, 1, _vector(npages=1))
         tracker.record_fault(1, 0, cluster=1, actual_seconds=0.02,
                              device_class="disk")
         hist = registry.get("sled_abs_error_seconds").labels(cls="disk")
@@ -102,7 +108,7 @@ class TestTracker:
 
     def test_render_and_to_dict(self):
         tracker = SledAccuracyTracker()
-        tracker.record_prediction(1, _vector(npages=1))
+        _record(tracker, 1, _vector(npages=1))
         tracker.record_fault(1, 0, cluster=1, actual_seconds=0.02,
                              device_class="disk")
         text = tracker.report().render()
@@ -118,7 +124,7 @@ class TestTracker:
 
     def test_clear(self):
         tracker = SledAccuracyTracker()
-        tracker.record_prediction(1, _vector(npages=1))
+        _record(tracker, 1, _vector(npages=1))
         tracker.record_fault(2, 0, cluster=1, actual_seconds=0.01,
                              device_class="disk")
         tracker.clear()
@@ -128,15 +134,12 @@ class TestTracker:
 
 
 class TestRunWalk:
-    """``record_prediction`` walks SLED runs split at queue-run edges;
-    the per-page binary-search loop it replaced is the oracle."""
+    """The vector walk (SLED runs split at queue-run edges) through the
+    one table builder; the per-page binary-search loop is the oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_matches_per_page_oracle(self, data):
-        from tests.oracles.accuracy import (expand_predictions,
-                                            predictions_per_page)
-
         size = data.draw(st.integers(1, 40 * PAGE_SIZE))
         # byte-granular SLED edges: a page takes the SLED holding its
         # first byte, wherever the edges fall
@@ -155,10 +158,10 @@ class TestRunWalk:
         tracker = SledAccuracyTracker()
         # a stale snapshot, partly consumed, that the new one replaces
         stale = npages // 2 + 1
-        tracker.record_prediction(7, _vector(npages=stale, latency=9.0,
-                                             bandwidth=9.0))
+        _record(tracker, 7, _vector(npages=stale, latency=9.0,
+                                    bandwidth=9.0))
         tracker.record_hit(7, npages // 2, actual_seconds=1.0)
-        assert tracker.record_prediction(7, vector, queue_runs) == npages
+        assert _record(tracker, 7, vector, queue_runs) == npages
         assert tracker.outstanding == npages
         expected = predictions_per_page(
             7, vector, {p: queue for lo, hi, queue in queue_runs
@@ -204,9 +207,6 @@ class TestPerPageStoreOracle:
     @settings(deadline=None)
     @given(data=st.data())
     def test_run_tables_match_per_page_store(self, data):
-        from tests.oracles.accuracy import (PerPageAccuracyTracker,
-                                            expand_predictions)
-
         registries = MetricsRegistry(), MetricsRegistry()
         tracker = SledAccuracyTracker(registry=registries[0])
         oracle = PerPageAccuracyTracker(registry=registries[1])
@@ -226,7 +226,7 @@ class TestPerPageStoreOracle:
                 floor[inode] = npages
                 vector, queue_runs = self._snapshot(data, npages)
                 for store in (tracker, oracle):
-                    store.record_prediction(inode, vector, queue_runs)
+                    _record(store, inode, vector, queue_runs)
             elif step == "fault":
                 page, cluster = data.draw(pages), data.draw(
                     st.integers(1, 8))

@@ -29,7 +29,6 @@ from repro.obs.forensics import (
     folded_blame,
     folded_critical_path,
 )
-from repro.obs.accuracy import SledAccuracyTracker
 from repro.obs.lifecycle import LifecycleRecord, LifecycleTracker, critical_path
 from repro.sim.engine import IoEngine
 from repro.sim.tasks import EventScheduler, Task
@@ -84,32 +83,22 @@ def _tenant_readers(kernel, path, pages, readers=3, chunk_pages=2,
 
 def _check_predictions(telemetry, checked: list) -> None:
     """Route every FSLEDS_GET snapshot past the per-page oracle: the
-    run walk (queue split included) must build the same predictions,
-    page by page.  ``checked`` collects one entry per call: whether any
-    page predicted queueing."""
+    snapshot built from the fold's runs (queue split included) must hold
+    the same predictions, page by page, as a residency peek and a SLED
+    lookup per page.  ``checked`` collects one entry per call: whether
+    any page predicted queueing."""
     on_sleds = telemetry.on_sleds
-    accuracy = telemetry.accuracy
+    kernel = telemetry._kernel
 
-    def spy(inode_id, vector, fs=None, inode=None, queue_delays=None):
-        queues = queue_by_page(telemetry._kernel, fs, inode, queue_delays)
+    def spy(inode_id, vector, runs, queue_delays=None):
+        of = next(of for of in kernel._fds.values()
+                  if of.inode.id == inode_id)
+        queues = queue_by_page(kernel, of.fs, of.inode, queue_delays)
         expected = predictions_per_page(inode_id, vector, queues)
-        calls = []
-
-        def record(*args, **kwargs):
-            calls.append((args, kwargs))
-            return SledAccuracyTracker.record_prediction(accuracy, *args,
-                                                         **kwargs)
-
-        accuracy.record_prediction = record
-        try:
-            on_sleds(inode_id, vector, fs=fs, inode=inode,
-                     queue_delays=queue_delays)
-        finally:
-            del accuracy.record_prediction
-        (args, kwargs), = calls
-        fresh = SledAccuracyTracker()
-        fresh.record_prediction(*args, **kwargs)
-        assert expand_predictions(fresh) == sorted(expected.items())
+        on_sleds(inode_id, vector, runs, queue_delays)
+        snapshot = [item for item in expand_predictions(telemetry.accuracy)
+                    if item[0][0] == inode_id]
+        assert snapshot == sorted(expected.items())
         checked.append(bool(queues))
 
     telemetry.on_sleds = spy

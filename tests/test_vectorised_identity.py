@@ -407,13 +407,13 @@ def test_sled_build_vector_path_identical():
         keys = {estimate.device_key for _, estimate
                 in fs.span_estimates(inode, 0, inode.npages)}
         full = build_sled_vector_full_walk(cache, fs, inode, table)
-        fast = build_sled_vector(cache, fs, inode, table)
+        fast, _ = build_sled_vector(cache, fs, inode, table)
         assert _sleds(fast) == _sleds(full), (
             f"{profile}: run-based build diverged from the paper's "
             f"literal per-page walk")
         queue_delays = {key: 0.00173 for key in keys}
-        queued = build_sled_vector(cache, fs, inode, table,
-                                   queue_delays=queue_delays)
+        queued, _ = build_sled_vector(cache, fs, inode, table,
+                                      queue_delays=queue_delays)
         walked = build_sled_vector_full_walk(cache, fs, inode, table,
                                              queue_delays)
         assert _sleds(queued) == _sleds(walked), (
@@ -437,7 +437,7 @@ def test_sled_build_random_residency_identical(mask):
     inode = kernel._fd(fd).inode
     fs = kernel._fd(fd).fs
     cache, table = kernel.page_cache, kernel.sleds_table
-    vector = build_sled_vector(cache, fs, inode, table)
+    vector, _ = build_sled_vector(cache, fs, inode, table)
     full = build_sled_vector_full_walk(cache, fs, inode, table)
     assert _sleds(vector) == _sleds(full)
 
