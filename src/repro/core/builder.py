@@ -45,7 +45,8 @@ def _emit(runs: list[Run], size: int) -> SledVector:
     Each SLED is checked once, as it closes and in file order, by
     :func:`~repro.core.sled.check_sled`, so a filesystem's bad answer
     raises what the ``Sled`` constructor raises.  The checked fields are
-    then packed straight into tuples, and the vector skips its sort."""
+    then packed straight into tuples, and ``coalesce=False`` has the
+    vector validate them without sorting or merging again."""
     sleds: list[Sled] = []
     _, latency, bandwidth, _, _ = runs[0]
     start = page = 0
@@ -62,7 +63,7 @@ def _emit(runs: list[Run], size: int) -> SledVector:
     check_sled(offset, size - offset, latency, bandwidth)
     sleds.append(_new_tuple(Sled, (offset, size - offset, latency,
                                    bandwidth)))
-    return SledVector.ordered(sleds, size)
+    return SledVector(sleds, size, coalesce=False)
 
 
 def _price(estimate: PageEstimate, table: SledTable,

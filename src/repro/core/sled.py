@@ -20,7 +20,7 @@ bandwidth.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class _SledFields(NamedTuple):
@@ -99,27 +99,23 @@ _offset_of = itemgetter(0)
 
 
 class SledVector:
-    """An ordered, validated sequence of SLEDs covering a file."""
+    """An ordered, validated sequence of SLEDs covering a file.
+
+    By default the SLEDs may come in any order: they are sorted and
+    same-level neighbours merged.  ``coalesce=False`` takes SLEDs already
+    in file order, such as the kernel's fold emits, and keeps them as
+    given: they are validated, not sorted or merged, so out-of-order
+    input is refused.
+    """
 
     def __init__(self, sleds: Iterable[Sled], file_size: int | None = None,
                  coalesce: bool = True) -> None:
-        items = sorted(sleds, key=_offset_of)
-        if coalesce:
-            items = self._coalesce(items)
+        items = (self._coalesce(sorted(sleds, key=_offset_of)) if coalesce
+                 else tuple(sleds))
         self._validate(items, file_size)
         self._sleds: tuple[Sled, ...] = tuple(items)
         self.file_size = (file_size if file_size is not None
                           else (items[-1].end if items else 0))
-
-    @classmethod
-    def ordered(cls, sleds: list[Sled], file_size: int) -> "SledVector":
-        """A vector of SLEDs already in file order and already merged,
-        such as the kernel's fold emits: validated, not sorted."""
-        cls._validate(sleds, file_size)
-        vector = object.__new__(cls)
-        vector._sleds = tuple(sleds)
-        vector.file_size = file_size
-        return vector
 
     @staticmethod
     def _coalesce(items: list[Sled]) -> list[Sled]:
@@ -133,7 +129,7 @@ class SledVector:
         return out
 
     @staticmethod
-    def _validate(items: list[Sled], file_size: int | None) -> None:
+    def _validate(items: Sequence[Sled], file_size: int | None) -> None:
         if not items:
             if file_size not in (None, 0):
                 raise ValueError(

@@ -117,17 +117,6 @@ class TestSledContract:
         assert type(sled._replace(length=2)) is Sled
 
 
-_VECTOR_ERRORS = [
-    ([], 10, "empty SLED vector for file of size 10"),
-    ([_sled(10, 10)], 20, "SLED vector must start at offset 0, got 10"),
-    ([_sled(0, 10), _sled(20, 10)], 30,
-     "gap or overlap between SLEDs at 10 vs 20"),
-    ([_sled(0, 10), _sled(5, 10)], 15,
-     "gap or overlap between SLEDs at 10 vs 5"),
-    ([_sled(0, 10)], 20, "SLED vector covers 10 bytes of a 20-byte file"),
-]
-
-
 class TestSledVectorValidation:
     def test_empty_vector_for_empty_file(self):
         vector = SledVector([], file_size=0)
@@ -153,25 +142,21 @@ class TestSledVectorValidation:
         with pytest.raises(ValueError):
             SledVector([_sled(0, 10)], file_size=20)
 
-    @pytest.mark.parametrize("sleds, size, message", _VECTOR_ERRORS)
-    def test_error_messages(self, sleds, size, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            SledVector(sleds, file_size=size, coalesce=False)
-
-    @pytest.mark.parametrize("sleds, size, message", _VECTOR_ERRORS + [
-        # no sort: out-of-order input is refused, not reordered
+    @pytest.mark.parametrize("sleds, size, message", [
+        ([], 10, "empty SLED vector for file of size 10"),
+        ([_sled(10, 10)], 20, "SLED vector must start at offset 0, got 10"),
+        ([_sled(0, 10), _sled(20, 10)], 30,
+         "gap or overlap between SLEDs at 10 vs 20"),
+        ([_sled(0, 10), _sled(5, 10)], 15,
+         "gap or overlap between SLEDs at 10 vs 5"),
+        ([_sled(0, 10)], 20, "SLED vector covers 10 bytes of a 20-byte file"),
+        # no sort without coalescing: out-of-order input is refused
         ([_sled(10, 10), _sled(0, 10)], 20,
          "SLED vector must start at offset 0, got 10"),
     ])
-    def test_ordered_constructor_messages(self, sleds, size, message):
+    def test_error_messages(self, sleds, size, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            SledVector.ordered(sleds, size)
-
-    def test_ordered_constructor_keeps_its_input(self):
-        sleds = [_sled(0, 10), _sled(10, 10), _sled(20, 5, latency=0.2)]
-        vector = SledVector.ordered(sleds, 25)
-        assert vector == SledVector(sleds, file_size=25, coalesce=False)
-        assert list(vector) == sleds and vector.file_size == 25
+            SledVector(sleds, file_size=size, coalesce=False)
 
     def test_unsorted_input_is_sorted(self):
         vector = SledVector([_sled(10, 10, latency=0.2), _sled(0, 10)],
@@ -191,9 +176,10 @@ class TestCoalescing:
         assert len(vector) == 2
 
     def test_coalesce_disabled(self):
-        vector = SledVector([_sled(0, 10), _sled(10, 10)], file_size=20,
-                            coalesce=False)
-        assert len(vector) == 2
+        sleds = [_sled(0, 10), _sled(10, 10), _sled(20, 5, latency=0.2)]
+        vector = SledVector(sleds, file_size=25, coalesce=False)
+        assert len(vector) == 3
+        assert list(vector) == sleds and vector.file_size == 25
 
     @given(st.lists(st.tuples(st.integers(1, 20),
                               st.sampled_from([0.001, 0.02, 0.5])),
