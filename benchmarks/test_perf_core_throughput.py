@@ -128,24 +128,28 @@ def _run_fault_storm(reference: bool,
     machine.ext2.create_text_file("storm.dat",
                                   STORM_FILE_PAGES * PAGE_SIZE, seed=1)
     kernel = machine.kernel
-    if profiler is not None:
-        profiler.attach(kernel)
     if telemetry:
         Telemetry().attach(kernel)
-    fd = kernel.open("/mnt/ext2/storm.dat")
-    size = STORM_FILE_PAGES * PAGE_SIZE
-    chunk = STORM_CHUNK_PAGES * PAGE_SIZE
+    if profiler is not None:
+        profiler.attach()
+    try:
+        fd = kernel.open("/mnt/ext2/storm.dat")
+        size = STORM_FILE_PAGES * PAGE_SIZE
+        chunk = STORM_CHUNK_PAGES * PAGE_SIZE
 
-    start = kernel.clock.now
-    faults_before = kernel.counters.hard_faults
-    wall_start = time.perf_counter()
-    for _ in range(STORM_PASSES):
-        offset = 0
-        while offset < size:
-            kernel.pread(fd, offset, chunk)
-            offset += chunk
-    wall = time.perf_counter() - wall_start
-    kernel.close(fd)
+        start = kernel.clock.now
+        faults_before = kernel.counters.hard_faults
+        wall_start = time.perf_counter()
+        for _ in range(STORM_PASSES):
+            offset = 0
+            while offset < size:
+                kernel.pread(fd, offset, chunk)
+                offset += chunk
+        wall = time.perf_counter() - wall_start
+        kernel.close(fd)
+    finally:
+        if profiler is not None:
+            profiler.detach()
     return {
         "makespan_virtual_s": kernel.clock.now - start,
         "hard_faults": kernel.counters.hard_faults - faults_before,
@@ -172,10 +176,14 @@ def _storm_site_breakdown() -> dict:
     machine.ext2.create_text_file("bench.dat",
                                   REFETCH_FILE_PAGES * PAGE_SIZE, seed=1)
     kernel = machine.kernel
-    tele_prof.attach(kernel)
-    Telemetry().attach(kernel)
-    engine = kernel.attach_engine(block=BlockConfig(merge=True, plug=True))
-    EventScheduler(kernel, _refetch_readers(kernel), engine=engine).run()
+    tele_prof.attach()
+    try:
+        Telemetry().attach(kernel)
+        engine = kernel.attach_engine(
+            block=BlockConfig(merge=True, plug=True))
+        EventScheduler(kernel, _refetch_readers(kernel), engine=engine).run()
+    finally:
+        tele_prof.detach()
     tele_sites = {row["site"]: row["wall_seconds"]
                   for row in tele_prof.rows()}
 

@@ -63,28 +63,36 @@ def test_profile_hotpaths_record():
     for name in ("bench.dat", "storm.dat", "tele.dat"):
         machine.ext2.create_text_file(name, FILE_PAGES * PAGE_SIZE, seed=1)
     kernel = machine.kernel
-    profiler = HotPathProfiler().attach(kernel)
-    engine = kernel.attach_engine(block=BlockConfig(merge=True, plug=True))
+    # attached before the engine: its loop and plugs are built after
+    profiler = HotPathProfiler().attach()
+    try:
+        engine = kernel.attach_engine(
+            block=BlockConfig(merge=True, plug=True))
 
-    start = kernel.clock.now
-    stats = EventScheduler(
-        kernel, _striding_readers(kernel, "/mnt/ext2/bench.dat"),
-        engine=engine).run()
-    makespan = kernel.clock.now - start
+        start = kernel.clock.now
+        stats = EventScheduler(
+            kernel, _striding_readers(kernel, "/mnt/ext2/bench.dat"),
+            engine=engine).run()
+        makespan = kernel.clock.now - start
 
-    # phase 2: blocking sweep, telemetry-free — the run-batched fault path
-    fd = kernel.open("/mnt/ext2/storm.dat")
-    offset = 0
-    while offset < FILE_PAGES * PAGE_SIZE:
-        kernel.pread(fd, offset, CHUNK_PAGES * PAGE_SIZE)
-        offset += CHUNK_PAGES * PAGE_SIZE
-    kernel.close(fd)
+        # phase 2: blocking sweep, telemetry-free — the run-batched
+        # fault path
+        fd = kernel.open("/mnt/ext2/storm.dat")
+        offset = 0
+        while offset < FILE_PAGES * PAGE_SIZE:
+            kernel.pread(fd, offset, CHUNK_PAGES * PAGE_SIZE)
+            offset += CHUNK_PAGES * PAGE_SIZE
+        kernel.close(fd)
 
-    # phase 3: striding readers with telemetry — the deferred fan-in flush
-    telemetry = Telemetry()
-    telemetry.attach(kernel)
-    EventScheduler(kernel, _striding_readers(kernel, "/mnt/ext2/tele.dat"),
-                   engine=engine).run()
+        # phase 3: striding readers with telemetry — the deferred
+        # fan-in flush
+        telemetry = Telemetry()
+        telemetry.attach(kernel)
+        EventScheduler(kernel,
+                       _striding_readers(kernel, "/mnt/ext2/tele.dat"),
+                       engine=engine).run()
+    finally:
+        profiler.detach()
 
     rows = profiler.rows(virtual_seconds=makespan)
 

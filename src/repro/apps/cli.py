@@ -313,21 +313,23 @@ def _profile_storm(args) -> int:
         machine.ext2.create_text_file(
             "storm.dat", STORM_FILE_PAGES * PAGE_SIZE, seed=1)
         kernel = machine.kernel
-        profiler.attach(kernel)
-        fd = kernel.open("/mnt/ext2/storm.dat")
-        size = STORM_FILE_PAGES * PAGE_SIZE
-        chunk = STORM_CHUNK_PAGES * PAGE_SIZE
-        start = kernel.clock.now
-        faults_before = kernel.counters.hard_faults
-        wall_start = time.perf_counter()
-        for _ in range(STORM_PASSES):
-            offset = 0
-            while offset < size:
-                kernel.pread(fd, offset, chunk)
-                offset += chunk
-        wall = time.perf_counter() - wall_start
-        kernel.close(fd)
-        profiler.detach(kernel)
+        profiler.attach()
+        try:
+            fd = kernel.open("/mnt/ext2/storm.dat")
+            size = STORM_FILE_PAGES * PAGE_SIZE
+            chunk = STORM_CHUNK_PAGES * PAGE_SIZE
+            start = kernel.clock.now
+            faults_before = kernel.counters.hard_faults
+            wall_start = time.perf_counter()
+            for _ in range(STORM_PASSES):
+                offset = 0
+                while offset < size:
+                    kernel.pread(fd, offset, chunk)
+                    offset += chunk
+            wall = time.perf_counter() - wall_start
+            kernel.close(fd)
+        finally:
+            profiler.detach()
         faults = kernel.counters.hard_faults - faults_before
         virtual = kernel.clock.now - start
         if best_wall is None or wall < best_wall:
@@ -612,19 +614,22 @@ def main(argv: list[str] | None = None) -> int:
         if args.storm:
             return _profile_storm(args)
         paths = args.paths or list(DEMO_READ_MIX)
-        profiler = HotPathProfiler().attach(kernel)
-        # merge+plug on so the block-layer flush site is exercised too
-        kernel.attach_engine(block=BlockConfig(merge=True, plug=True))
-        start = kernel.clock.now
-        faults_before = kernel.counters.hard_faults
-        wall_start = time.perf_counter()
-        for rep in range(args.repeat):
-            _prefetch_sleds(kernel, paths)
-            _run_readers(kernel, paths, prefix=f"r{rep}.")
-        wall = time.perf_counter() - wall_start
-        faults = kernel.counters.hard_faults - faults_before
-        end = kernel.clock.now
-        kernel.detach_engine()
+        profiler = HotPathProfiler().attach()
+        try:
+            # merge+plug on so the block-layer flush site is exercised too
+            kernel.attach_engine(block=BlockConfig(merge=True, plug=True))
+            start = kernel.clock.now
+            faults_before = kernel.counters.hard_faults
+            wall_start = time.perf_counter()
+            for rep in range(args.repeat):
+                _prefetch_sleds(kernel, paths)
+                _run_readers(kernel, paths, prefix=f"r{rep}.")
+            wall = time.perf_counter() - wall_start
+            faults = kernel.counters.hard_faults - faults_before
+            end = kernel.clock.now
+            kernel.detach_engine()
+        finally:
+            profiler.detach()
         virtual = end - start
 
         print(f"{args.repeat} x {len(paths)} concurrent reader(s), "
@@ -637,7 +642,6 @@ def main(argv: list[str] | None = None) -> int:
                           handle, indent=2, sort_keys=True)
                 handle.write("\n")
             print(f"\nwrote profile JSON to {args.json_out}")
-        profiler.detach(kernel)
         if args.budget is not None:
             faults_per_s = faults / wall if wall > 0 else float("inf")
             verdict = "PASS" if faults_per_s >= args.budget else "FAIL"

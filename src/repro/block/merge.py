@@ -293,8 +293,6 @@ class PlugQueue:
             self._timer = None
         if not self._plugged:
             return
-        profiler = self.loop.profiler
-        t0 = profiler.begin() if profiler is not None else 0.0
         batch = self._plugged
         self._plugged = []
         self._plugged_bytes = 0
@@ -307,8 +305,6 @@ class PlugQueue:
                 self.on_plug(wait, len(batch))
         for group in self._coalesce(batch):
             self._dispatch_group(group)
-        if profiler is not None:
-            profiler.add("block.merge_flush", t0)
 
     def _coalesce(self, batch: list[FaultRun]) -> list[list[FaultRun]]:
         """Partition a flushed batch into merge groups.

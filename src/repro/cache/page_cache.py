@@ -213,9 +213,6 @@ class PageCache:
         #: on_cache_access / on_cache_insert / on_cache_evict /
         #: on_cache_remove; purely observational, never affects residency
         self.observer = None
-        #: optional wall-clock profiler (repro.obs.profile) timing the
-        #: residency-update path; never affects residency or virtual time
-        self.profiler = None
 
     @property
     def policy(self) -> ReplacementPolicy:
@@ -406,17 +403,11 @@ class PageCache:
         accounting and limits; ``None`` (the default) takes the exact seed
         path with no tenant bookkeeping.
         """
-        profiler = self.profiler
-        t0 = profiler.begin() if profiler is not None else 0.0
         shard = self._shards[key[0] % self._nshards]
         if key in self._resident:
             shard.policy.on_hit(key)
-            evicted = None
-        else:
-            evicted = self._insert_new(shard, key, tenant)
-        if profiler is not None:
-            profiler.add("cache.residency", t0)
-        return evicted
+            return None
+        return self._insert_new(shard, key, tenant)
 
     def _insert_new(self, shard: _Shard, key: PageKey,
                     tenant: str | None) -> PageKey | None:
@@ -472,8 +463,6 @@ class PageCache:
             return
         shard = self._shards[inode_id % self._nshards]
         policy = shard.policy
-        profiler = self.profiler
-        t0 = profiler.begin() if profiler is not None else 0.0
         resident = self._resident
         if not ((inode_id, start) not in resident
                 and tenant is None and self._nshards == 1
@@ -488,8 +477,6 @@ class PageCache:
                     policy.on_hit(key)
                 else:
                     insert_new(shard, key, tenant)
-            if profiler is not None:
-                profiler.add("cache.residency", t0)
             return
         need = shard.count + n - shard.capacity
         generations = self._generations
@@ -522,8 +509,6 @@ class PageCache:
         policy.on_insert_run(inode_id, start, n)
         shard.count += n
         self.stats.insertions += n
-        if profiler is not None:
-            profiler.add("cache.residency", t0)
 
     def _evict_one(self, shard: _Shard) -> PageKey:
         if self._tenant_limits:

@@ -27,13 +27,10 @@ from repro.fs.filesystem import FileSystem, PageEstimate
 from repro.fs.inode import Inode
 from repro.sim.units import PAGE_SIZE
 
-#: One run of the fold: ``(pages, latency, bandwidth, device key,
-#: filesystem queue delay)``.  ``latency`` is what the SLED promises,
-#: queue terms included; a resident run has no device key and no queue
-#: delay.  The filesystem's own queue delay
-#: (:attr:`~repro.fs.filesystem.PageEstimate.queue_delay`) is kept apart
-#: from the engine's, which moves with the clock.
-Run = tuple[int, float, float, str | None, float]
+#: One run of the fold: ``(pages, latency, bandwidth, device key)``.
+#: ``latency`` is what the SLED promises, the device's queue delay
+#: included; a resident run has no device key.
+Run = tuple[int, float, float, str | None]
 
 _new_tuple = tuple.__new__
 
@@ -48,9 +45,9 @@ def _emit(runs: list[Run], size: int) -> SledVector:
     then packed straight into tuples, and ``coalesce=False`` has the
     vector validate them without sorting or merging again."""
     sleds: list[Sled] = []
-    _, latency, bandwidth, _, _ = runs[0]
+    _, latency, bandwidth, _ = runs[0]
     start = page = 0
-    for pages, run_latency, run_bandwidth, _, _ in runs:
+    for pages, run_latency, run_bandwidth, _ in runs:
         if run_latency != latency or run_bandwidth != bandwidth:
             offset = start * PAGE_SIZE
             length = (page - start) * PAGE_SIZE
@@ -68,15 +65,12 @@ def _emit(runs: list[Run], size: int) -> SledVector:
 
 def _price(estimate: PageEstimate, table: SledTable,
            queue_delays: dict[str, float] | None
-           ) -> tuple[float, float, str, float]:
-    """``(latency, bandwidth, device key, filesystem queue delay)`` of a
-    non-resident run: the estimate's figures, or the sleds-table row's
-    where it gives none, with both queue terms added to the latency."""
+           ) -> tuple[float, float, str]:
+    """``(latency, bandwidth, device key)`` of a non-resident run: the
+    estimate's figures, or the sleds-table row's where it gives none,
+    with the device's queue delay added to the latency."""
     key = estimate.device_key
-    queue = estimate.queue_delay
-    extra = queue
-    if queue_delays:
-        extra += queue_delays.get(key, 0.0)
+    extra = queue_delays.get(key, 0.0) if queue_delays else 0.0
     latency = estimate.latency
     bandwidth = estimate.bandwidth
     if latency is None or bandwidth is None:
@@ -85,7 +79,7 @@ def _price(estimate: PageEstimate, table: SledTable,
             latency = fallback.latency
         if bandwidth is None:
             bandwidth = fallback.bandwidth
-    return latency + extra, bandwidth, key, queue
+    return latency + extra, bandwidth, key
 
 
 def build_sled_vector(cache: PageCache, fs: FileSystem, inode: Inode,
@@ -130,22 +124,14 @@ def build_sled_vector(cache: PageCache, fs: FileSystem, inode: Inode,
             if estimate is not priced:
                 priced = estimate
                 level = _price(estimate, table, queue_delays)
-            latency, bandwidth, key, queue = level
-            runs.append((run_pages, latency, bandwidth, key, queue))
+            latency, bandwidth, key = level
+            runs.append((run_pages, latency, bandwidth, key))
 
-    profiler = cache.profiler
-    if profiler is None:
-        resident = cache.resident_runs(inode.id, npages)
-    else:
-        t0 = profiler.begin()
-        resident = cache.resident_runs(inode.id, npages)
-        profiler.add("cache.resident_runs", t0)
     cursor = 0
-    for start, end in resident:
+    for start, end in cache.resident_runs(inode.id, npages):
         if start > cursor:
             gap(cursor, start - cursor)
-        runs.append((end - start, memory_latency, memory_bandwidth, None,
-                     0.0))
+        runs.append((end - start, memory_latency, memory_bandwidth, None))
         cursor = end
     if cursor < npages:
         gap(cursor, npages - cursor)

@@ -57,17 +57,13 @@ class PageEstimate:
     the kernel uses the boot-time characterisation from the sleds table —
     exactly the paper's implementation, which "keeps only a single entry
     per device".  Filesystems with large dynamic state (HSM tape) override.
-
-    ``queue_delay`` is *additive* extra latency from queueing the
-    filesystem itself models (e.g. a staging queue); the kernel adds its
-    own live per-device queue delay on top when an I/O engine is attached
-    (see :func:`repro.core.builder.build_sled_vector`).
+    The kernel adds the live per-device queue delay when an I/O engine is
+    attached (see :func:`repro.core.builder.build_sled_vector`).
     """
 
     device_key: str
     latency: float | None = None
     bandwidth: float | None = None
-    queue_delay: float = 0.0
 
 
 class FileSystem(ABC):

@@ -181,10 +181,6 @@ class Kernel:
         #: None = off.  When set, cache hits notify it so it can count
         #: speculative fetches that actually got used.
         self.prefetcher = None
-        #: optional wall-clock hot-path profiler (repro.obs.profile);
-        #: None = off.  Measures host CPU time only — virtual timings
-        #: are bit-identical with a profiler attached or not.
-        self.profiler = None
         #: lazily-built TelemetryBatch for the engine's batched fault
         #: path (repro.obs.telemetry); rebuilt if telemetry is swapped.
         #: Never allocated while telemetry is detached (zero-cost rule).
@@ -523,8 +519,6 @@ class Kernel:
         telemetry = self.telemetry
         readahead = of.readahead if use_readahead else None
         resident = cache._resident
-        profiler = self.profiler
-        t_span = profiler.begin() if profiler is not None else 0.0
         # the only dispatch left: whether a run of one-page clusters may
         # be serviced as a batch, which no per-fault hook may watch
         batch = ((readahead is None or readahead.max_pages == 1)
@@ -548,8 +542,6 @@ class Kernel:
                     of, page,
                     readahead.advise(page) if readahead is not None else 1)
             page = stop
-        if profiler is not None:
-            profiler.add("kernel.fault_batch", t_span)
 
     def _hit_resident(self, inode_id: int, page: int, end: int,
                       readahead: ReadaheadWindow | None) -> int:
@@ -627,12 +619,8 @@ class Kernel:
         cache = self.page_cache
         counters = self.counters
         tenant = self.current_tenant
-        profiler = self.profiler
         for file_page, pages, addr in inode.extent_map.extents_in(start, n):
-            t_dev = profiler.begin() if profiler is not None else 0.0
             durations = device.read_run(addr, pages, PAGE_SIZE)
-            if profiler is not None:
-                profiler.add("device.batch_math", t_dev)
             if durations is None:
                 for page in range(file_page, file_page + pages):
                     self._fault_cluster(of, page, 1)
@@ -851,11 +839,7 @@ class Kernel:
                     now=now, window=window, fs=fs, completion=completion)
         self._insert_clusters(inode_id, runs, tenant)
         if tele_batch is not None:
-            profiler = self.profiler
-            t0 = profiler.begin() if profiler is not None else 0.0
             tele_batch.flush()
-            if profiler is not None:
-                profiler.add("obs.telemetry_flush", t0)
 
     def mmap(self, fd: int) -> "MappedRegion":
         """Map an open file; reads through the mapping skip the
@@ -1106,14 +1090,9 @@ class Kernel:
                         self.engine.queue_delays(of.fs, self.clock.now,
                                                  self.current_tenant)
                         if self.engine is not None else None)
-                    profiler = self.profiler
-                    if profiler is not None:
-                        t0 = profiler.begin()
                     vector, runs = build_sled_vector(
                         self.page_cache, of.fs, of.inode, self.sleds_table,
                         queue_delays=queue_delays)
-                    if profiler is not None:
-                        profiler.add("kernel.sled_build", t0)
                     # kernel walks the file's state: charge ~0.2 us per page
                     self.charge_cpu(of.inode.npages * 0.2 * USEC)
                     self.counters.sleds_builds += 1

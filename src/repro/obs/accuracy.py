@@ -229,28 +229,26 @@ class SledAccuracyTracker:
                     queue_delays: dict[str, float] | None = None) -> int:
         """Snapshot the predictions of one ``FSLEDS_GET`` from the runs
         its vector was folded from (:data:`repro.core.builder.Run`:
-        pages, latency, bandwidth, device key, filesystem queue delay).
+        pages, latency, bandwidth, device key).
 
         Returns the number of pages snapshotted.  Re-asking for SLEDs on
         the same file replaces its outstanding predictions.  Every page
         of a run shares one prediction tuple.  A run's queue term is its
-        filesystem queue delay plus its device's entry in
-        ``queue_delays`` (device key -> seconds): the delays the vector's
-        build folded in, or, for a vector served from the kernel's
-        cache, the delays read now.  A resident run has no device and
-        predicts no queueing.  O(runs).
+        device's entry in ``queue_delays`` (device key -> seconds): the
+        delays the vector's build folded in, or, for a vector served
+        from the kernel's cache, the delays read now.  A resident run
+        has no device and predicts no queueing.  O(runs).
         """
         delays = queue_delays or {}
         starts: list[int] = []
         ends: list[int] = []
         predictions: list[tuple[float, float, float]] = []
         page = 0
-        for pages, latency, bandwidth, key, queue in runs:
+        for pages, latency, bandwidth, key in runs:
             starts.append(page)
             page += pages
             ends.append(page)
-            predictions.append((latency, bandwidth,
-                                queue + delays.get(key, 0.0)))
+            predictions.append((latency, bandwidth, delays.get(key, 0.0)))
         self._tables[inode_id] = _Table(starts, ends, predictions, page)
         return page
 

@@ -1,144 +1,161 @@
 """Wall-clock profiling of the simulator's hot paths.
 
-The ROADMAP's "hardware-fast core" item budgets ≥ 1M faults per *wall*
-second; to spend that budget well we need to know where host CPU time
-goes.  This module adds scoped wall-clock timers to the sites that
-dominate a run — :class:`~repro.sim.events.EventLoop` dispatch, SLED
-vector builds in the kernel ioctl path, page-cache residency updates,
-and block-layer merge/flush — and reports per-site call counts,
-cumulative wall seconds, and wall-per-virtual-second ratios.
+Reports call counts, cumulative wall seconds and wall-per-virtual-second
+ratios for each site in :data:`SITES`: event dispatch, SLED builds,
+page-cache residency updates and resident-run queries, block-layer
+merge/flush, the blocking fault span, whole-run device pricing and the
+deferred telemetry fan-in.
 
-The profiler measures *wall* time only.  It never reads or advances the
-virtual clock, draws no randomness, and mutates no simulated state, so
-virtual-time results are bit-identical with it attached or detached
-(property-tested in ``tests/test_obs_zero_cost.py``).  Instrumented
-sites guard with ``if profiler is not None`` so the detached hot path
-pays a single attribute load and branch.
+The hot paths carry no profiler hook.  :meth:`HotPathProfiler.attach`
+replaces each function a site names with a timing wrapper on the class
+or module that defines it, and :meth:`~HotPathProfiler.detach` puts the
+originals back.  So the wrappers are process-wide while attached (they
+also time the engine loops and plugs built after ``attach()``), one
+profiler can be attached at a time, and every ``attach()`` needs a
+``detach()`` in a ``finally``.  A site's time is inclusive of the whole
+call, nested sites included.  A call made while its site is already open
+(``insert_run``'s one-page case calls ``insert``) is part of the open
+call, and a call that raises is not counted.
 
-Typical use::
+The profiler reads wall time only, so virtual-time results are
+bit-identical with it attached or not (``tests/test_obs_zero_cost.py``).
 
-    prof = HotPathProfiler().attach(machine.kernel)
-    ...  # run a workload
+Typical use (or ``sleds-run profile`` from the shell)::
+
+    prof = HotPathProfiler().attach()
+    try:
+        ...  # run a workload
+    finally:
+        prof.detach()
     print(prof.render(virtual_seconds=machine.clock.now))
-
-or via the CLI: ``sleds-run profile``.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 from time import perf_counter
 
-__all__ = ["HotPathProfiler", "SITES"]
+__all__ = ["HotPathProfiler", "SITES", "resolve"]
 
-#: the hot-path sites wired into the core (site name -> where it lives)
+#: site name -> the functions it times, as ``module:function`` or
+#: ``module:Class.method`` specs (``kernel.sled_build``: the kernel
+#: module's binding of the builder only)
 SITES = {
-    "event_loop.dispatch": "EventLoop.step: pop + fire one event",
-    "kernel.sled_build": "Kernel ioctl FSLEDS_GET: build_sled_vector",
-    "cache.residency": "PageCache.insert: residency update + eviction",
-    "cache.resident_runs": "build_sled_vector: resident interval-run query",
-    "block.merge_flush": "PlugQueue.flush: coalesce + dispatch",
-    "kernel.fault_batch": "Kernel._fault_in: one blocking read's fault span",
-    "device.batch_math": "Device.read_run: one run of page reads priced",
-    "obs.telemetry_flush": "TelemetryBatch.flush: deferred on_fault fan-in",
+    "event_loop.dispatch": ("repro.sim.events:EventLoop.step",),
+    "kernel.sled_build": ("repro.kernel.kernel:build_sled_vector",),
+    "cache.residency": ("repro.cache.page_cache:PageCache.insert",
+                        "repro.cache.page_cache:PageCache.insert_run"),
+    "cache.resident_runs": (
+        "repro.cache.page_cache:PageCache.resident_runs",),
+    "block.merge_flush": ("repro.block.merge:PlugQueue.flush",),
+    "kernel.fault_batch": ("repro.kernel.kernel:Kernel._fault_in",),
+    "device.batch_math": ("repro.devices.base:Device.read_run",),
+    "obs.telemetry_flush": ("repro.obs.telemetry:TelemetryBatch.flush",),
 }
+
+#: the profiler whose wrappers are installed, if any
+_attached: HotPathProfiler | None = None
+
+
+def resolve(spec: str) -> tuple[object, str]:
+    """The ``(class or module, attribute name)`` a spec names."""
+    module_name, _, path = spec.partition(":")
+    owner = importlib.import_module(module_name)
+    *classes, name = path.split(".")
+    for class_name in classes:
+        owner = getattr(owner, class_name)
+    return owner, name
 
 
 class _Site:
-    """Accumulated wall time at one instrumented site."""
+    """Accumulated wall time at one site, and whether a call is open."""
 
-    __slots__ = ("calls", "seconds", "max_seconds")
+    __slots__ = ("calls", "seconds", "max_seconds", "open")
 
     def __init__(self) -> None:
+        self.open = False
+        self.clear()
+
+    def clear(self) -> None:
         self.calls = 0
         self.seconds = 0.0
         self.max_seconds = 0.0
 
-    def add(self, seconds: float) -> None:
-        self.calls += 1
-        self.seconds += seconds
-        if seconds > self.max_seconds:
-            self.max_seconds = seconds
+    def timed(self, fn):
+        """``fn`` wrapped to time each outermost call into this site."""
+        site = self
+
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            if site.open:
+                return fn(*args, **kwargs)
+            site.open = True
+            t0 = perf_counter()
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                site.open = False
+            elapsed = perf_counter() - t0
+            site.calls += 1
+            site.seconds += elapsed
+            if elapsed > site.max_seconds:
+                site.max_seconds = elapsed
+            return result
+        return timed
 
 
 class HotPathProfiler:
-    """Scoped wall-clock timers for the simulator core.
-
-    Instrumented code calls :meth:`begin` / :meth:`add` directly (cheaper
-    than a context manager in a hot loop); ad-hoc measurements can use
-    the :meth:`scope` context manager.  :meth:`attach` pushes the
-    profiler onto a kernel and everything reachable from it — the page
-    cache and, when an engine is attached now or later, its event loop.
-    """
+    """Wall-clock timers wrapped around the simulator's hot paths."""
 
     def __init__(self) -> None:
-        self._sites: dict[str, _Site] = {}
-        self.started_at = perf_counter()
-
-    # -- measurement ------------------------------------------------------
-
-    @staticmethod
-    def begin() -> float:
-        return perf_counter()
-
-    def add(self, site: str, t0: float) -> None:
-        """Account ``perf_counter() - t0`` wall seconds to ``site``."""
-        elapsed = perf_counter() - t0
-        slot = self._sites.get(site)
-        if slot is None:
-            slot = self._sites[site] = _Site()
-        slot.add(elapsed)
-
-    class _Scope:
-        __slots__ = ("profiler", "site", "t0")
-
-        def __init__(self, profiler: "HotPathProfiler", site: str) -> None:
-            self.profiler = profiler
-            self.site = site
-
-        def __enter__(self) -> "HotPathProfiler._Scope":
-            self.t0 = perf_counter()
-            return self
-
-        def __exit__(self, *exc) -> None:
-            self.profiler.add(self.site, self.t0)
-
-    def scope(self, site: str) -> "HotPathProfiler._Scope":
-        return self._Scope(self, site)
+        self._sites = {site: _Site() for site in SITES}
+        #: ``(owner, name, original)`` of every installed wrapper
+        self._originals: list[tuple[object, str, object]] = []
 
     # -- wiring -----------------------------------------------------------
 
-    def attach(self, kernel) -> "HotPathProfiler":
-        """Instrument ``kernel``, its page cache, and (if present) the
-        attached engine's event loop.  ``IoEngine.attach`` keeps the
-        loop instrumented when the engine arrives later."""
-        kernel.profiler = self
-        kernel.page_cache.profiler = self
-        engine = getattr(kernel, "engine", None)
-        if engine is not None:
-            engine.loop.profiler = self
+    def attach(self) -> "HotPathProfiler":
+        """Install a timing wrapper on every function :data:`SITES`
+        names.  Raises if a profiler is already attached."""
+        global _attached
+        if _attached is not None:
+            raise RuntimeError("a HotPathProfiler is already attached")
+        _attached = self
+        for site, specs in SITES.items():
+            for spec in specs:
+                owner, name = resolve(spec)
+                original = vars(owner)[name]
+                self._originals.append((owner, name, original))
+                setattr(owner, name, self._sites[site].timed(original))
         return self
 
-    def detach(self, kernel) -> None:
-        kernel.profiler = None
-        kernel.page_cache.profiler = None
-        engine = getattr(kernel, "engine", None)
-        if engine is not None:
-            engine.loop.profiler = None
+    def detach(self) -> None:
+        """Put back every original function; a no-op unless this
+        profiler is the attached one."""
+        global _attached
+        if _attached is not self:
+            return
+        while self._originals:
+            owner, name, original = self._originals.pop()
+            setattr(owner, name, original)
+        _attached = None
 
     # -- reporting --------------------------------------------------------
 
     def rows(self, virtual_seconds: float | None = None) -> list[dict]:
-        """Per-site stats, largest cumulative wall time first."""
+        """Per-site stats of the sites hit, largest cumulative wall time
+        first."""
         out = []
-        for site, slot in sorted(self._sites.items(),
-                                 key=lambda kv: (-kv[1].seconds, kv[0])):
+        hit = sorted((kv for kv in self._sites.items() if kv[1].calls),
+                     key=lambda kv: (-kv[1].seconds, kv[0]))
+        for site, slot in hit:
             row = {
                 "site": site,
-                "where": SITES.get(site, ""),
+                "where": ", ".join(SITES[site]),
                 "calls": slot.calls,
                 "wall_seconds": slot.seconds,
-                "wall_mean_us": (slot.seconds / slot.calls * 1e6
-                                 if slot.calls else 0.0),
+                "wall_mean_us": slot.seconds / slot.calls * 1e6,
                 "wall_max_us": slot.max_seconds * 1e6,
             }
             if virtual_seconds is not None and virtual_seconds > 0.0:
@@ -185,5 +202,5 @@ class HotPathProfiler:
         }
 
     def clear(self) -> None:
-        self._sites.clear()
-        self.started_at = perf_counter()
+        for slot in self._sites.values():
+            slot.clear()

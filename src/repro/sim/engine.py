@@ -75,8 +75,6 @@ class IoEngine:
                 seen.add(id(device))
                 device.clamp_horizon(now)
         self.kernel.engine = self
-        if getattr(self.kernel, "profiler", None) is not None:
-            self.loop.profiler = self.kernel.profiler
         self._attached = True
         return self
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from time import perf_counter
 from typing import Callable
 
 from repro.sim.clock import VirtualClock
@@ -73,10 +72,6 @@ class EventLoop:
         self._heap: list[Event] = []
         self._seq = itertools.count()
         self._fired = 0
-        #: optional wall-clock profiler (repro.obs.profile); None = off.
-        #: Reads wall time only — virtual timings are bit-identical with
-        #: a profiler attached or not.
-        self.profiler = None
 
     def at(self, time: float, callback: Callable[[], None],
            category: str = "wait") -> Event:
@@ -125,8 +120,6 @@ class EventLoop:
 
         Returns False when no live events remain.
         """
-        profiler = self.profiler
-        t0 = perf_counter() if profiler is not None else 0.0
         while self._heap:
             event = heapq.heappop(self._heap)
             if event.cancelled:
@@ -137,8 +130,6 @@ class EventLoop:
                 self.clock.advance_to(event.time, event.category)
             self._fired += 1
             event.callback()
-            if profiler is not None:
-                profiler.add("event_loop.dispatch", t0)
             return True
         return False
 

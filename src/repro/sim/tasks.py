@@ -281,14 +281,6 @@ class EventScheduler:
             if owns_engine:
                 engine.detach()
 
-    @property
-    def _blocked(self) -> int:
-        return self.__dict__.get("_blocked_count", 0)
-
-    @_blocked.setter
-    def _blocked(self, value: int) -> None:
-        self.__dict__["_blocked_count"] = value
-
 
 # ---------------------------------------------------------------------------
 # application adapters

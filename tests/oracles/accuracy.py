@@ -49,8 +49,7 @@ def queue_runs(kernel, fs, inode, queue_delays
     page = 0
     for run, estimate in fs.span_estimates(inode, 0, npages):
         end = page + run
-        queue = estimate.queue_delay + queue_delays.get(
-            estimate.device_key, 0.0)
+        queue = queue_delays.get(estimate.device_key, 0.0)
         if queue > 0.0:
             while g < len(gaps) and gaps[g][1] <= page:
                 g += 1
@@ -63,18 +62,20 @@ def queue_runs(kernel, fs, inode, queue_delays
     return runs
 
 
-def vector_runs(vector, queue_runs=None) -> list:
-    """The snapshot runs of ``vector``, walked SLED by SLED, in the
-    form ``SledAccuracyTracker.record_runs`` takes with no queue delays:
-    ``(pages, latency, bandwidth, None, queue)``.
+def vector_runs(vector, queue_runs=None) -> tuple[list, dict]:
+    """The snapshot runs of ``vector``, walked SLED by SLED, and their
+    queue delays, in the form ``SledAccuracyTracker.record_runs`` takes:
+    ``(pages, latency, bandwidth, key)`` runs and ``{key: seconds}``.
 
     A page takes the SLED holding its first byte.  SLEDs split where a
     run of ``queue_runs`` (sorted disjoint ``(start page, end page,
-    seconds)``; pages outside them predict zero queueing) starts or
-    ends, and every page of a run shares one prediction."""
+    seconds)``; pages outside them predict zero queueing and take no
+    key) starts or ends, and every page of a run shares one prediction.
+    Each queue run has its own key: its index in ``queue_runs``."""
     npages = (vector.file_size + PAGE_SIZE - 1) // PAGE_SIZE
     runs = []
     queues = queue_runs or ()
+    delays = {q: queue for q, (_, _, queue) in enumerate(queues)}
     q = 0
     for sled in vector:
         offset = sled.offset
@@ -84,15 +85,14 @@ def vector_runs(vector, queue_runs=None) -> list:
             while q < len(queues) and queues[q][1] <= page:
                 q += 1  # that queue run ended before this page
             if q == len(queues):
-                end, queue = stop, 0.0
+                end, key = stop, None
             elif queues[q][0] <= page:
-                end, queue = min(stop, queues[q][1]), queues[q][2]
+                end, key = min(stop, queues[q][1]), q
             else:
-                end, queue = min(stop, queues[q][0]), 0.0
-            runs.append((end - page, sled.latency, sled.bandwidth, None,
-                         queue))
+                end, key = min(stop, queues[q][0]), None
+            runs.append((end - page, sled.latency, sled.bandwidth, key))
             page = end
-    return runs
+    return runs, delays
 
 
 def queue_by_page(kernel, fs, inode, queue_delays) -> dict[int, float] | None:
@@ -104,8 +104,7 @@ def queue_by_page(kernel, fs, inode, queue_delays) -> dict[int, float] | None:
     out = {}
     page = 0
     for run, estimate in fs.span_estimates(inode, 0, inode.npages):
-        queue = estimate.queue_delay + queue_delays.get(
-            estimate.device_key, 0.0)
+        queue = queue_delays.get(estimate.device_key, 0.0)
         if queue > 0.0:
             for p in range(page, page + run):
                 if cache is None or not cache.peek((inode.id, p)):
@@ -157,8 +156,8 @@ class PerPageAccuracyTracker(SledAccuracyTracker):
     def record_runs(self, inode_id: int, runs, queue_delays=None) -> int:
         delays = queue_delays or {}
         page = 0
-        for pages, latency, bandwidth, key, queue in runs:
-            prediction = (latency, bandwidth, queue + delays.get(key, 0.0))
+        for pages, latency, bandwidth, key in runs:
+            prediction = (latency, bandwidth, delays.get(key, 0.0))
             for p in range(page, page + pages):
                 self._predictions[(inode_id, p)] = prediction
             page += pages

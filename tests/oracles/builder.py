@@ -23,16 +23,15 @@ def page_level(cache, fs, inode, page_index, table, queue_delays=None):
     A resident page is at memory level and never queues.  Any other
     page takes its filesystem estimate, falling back to the boot-time
     sleds-table row where the estimate gives no latency or bandwidth,
-    plus the estimate's own queue delay and, from ``queue_delays``
-    (device_key -> seconds), the wait behind its device's queue.
+    plus, from ``queue_delays`` (device_key -> seconds), the wait behind
+    its device's queue.
     """
     if cache.peek((inode.id, page_index)):
         row = table.memory
         return row.latency, row.bandwidth
     estimate = fs.page_estimate(inode, page_index)
-    extra = estimate.queue_delay
-    if queue_delays:
-        extra += queue_delays.get(estimate.device_key, 0.0)
+    extra = (queue_delays.get(estimate.device_key, 0.0) if queue_delays
+             else 0.0)
     latency, bandwidth = estimate.latency, estimate.bandwidth
     if latency is None or bandwidth is None:
         row = table.lookup(estimate.device_key)

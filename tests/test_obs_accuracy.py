@@ -22,7 +22,7 @@ def _vector(npages=4, latency=0.018, bandwidth=9e6):
 
 def _record(tracker, inode_id, vector, queue_runs=None) -> int:
     """Snapshot ``vector`` through the tracker's one table builder."""
-    return tracker.record_runs(inode_id, vector_runs(vector, queue_runs))
+    return tracker.record_runs(inode_id, *vector_runs(vector, queue_runs))
 
 
 class TestClassAccuracy:

@@ -72,7 +72,7 @@ def _fingerprint(machine, stats):
 def _run(profile, seed, pages, observed: bool):
     machine, path = _setup(profile, seed, pages)
     kernel = machine.kernel
-    forensics = None
+    forensics = profiler = None
     if observed:
         telemetry = Telemetry()
         telemetry.attach(kernel)
@@ -83,10 +83,14 @@ def _run(profile, seed, pages, observed: bool):
             SLO_OBJECTIVES, registry=telemetry.registry,
             track_tenants=True).attach(telemetry)
         forensics.attach(telemetry, slo=slo)
-        HotPathProfiler().attach(kernel)
-    engine = kernel.attach_engine(block=MERGE_ALL)
-    tasks = _interleaved_readers(kernel, path, pages)
-    stats = EventScheduler(kernel, tasks, engine=engine).run()
+        profiler = HotPathProfiler().attach()
+    try:
+        engine = kernel.attach_engine(block=MERGE_ALL)
+        tasks = _interleaved_readers(kernel, path, pages)
+        stats = EventScheduler(kernel, tasks, engine=engine).run()
+    finally:
+        if profiler is not None:
+            profiler.detach()
     if observed:
         # exercise the analysis path too: blame every traced record and
         # fold the matrix — all post-hoc, none of it may have perturbed

@@ -92,7 +92,7 @@ def _attach(kernel) -> tuple[Telemetry, SledAccuracyTracker,
             folded = read_delays(of.fs, kernel.clock.now,
                                  kernel.current_tenant)
         split = queue_runs(kernel, of.fs, of.inode, folded)
-        reference.record_runs(inode_id, vector_runs(vector, split))
+        reference.record_runs(inode_id, *vector_runs(vector, split))
         on_sleds(inode_id, vector, runs, delays)
 
     telemetry.on_sleds = snapshot
