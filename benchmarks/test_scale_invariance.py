@@ -7,10 +7,6 @@ ratios and paper-equivalent times must agree across scales. This
 benchmark runs the same wc point at 1:16 and 1:64 and asserts they do.
 """
 
-import dataclasses
-
-from conftest import summarize_rows
-
 from repro.apps.wc import wc
 from repro.bench.measure import measure_runs
 from repro.bench.workloads import BenchConfig, text_workload

@@ -24,7 +24,7 @@ from repro.apps.wc import wc
 from repro.core.delivery import SLEDS_BEST
 from repro.fs.content import SyntheticText
 from repro.hsm.migration import MigrationDaemon
-from repro.sim.units import MB, PAGE_SIZE, human_time
+from repro.sim.units import MB, human_time
 
 
 def main() -> None:

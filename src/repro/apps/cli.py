@@ -37,7 +37,6 @@ from repro.apps.grep import grep
 from repro.apps.wc import wc
 from repro.bench.scenario import DEFAULT_SCENARIO, build_scenario, load_scenario
 from repro.core.delivery import SLEDS_BEST, SLEDS_LINEAR
-from repro.sim.trace import Tracer, render_timeline
 from repro.sim.units import MB, human_time
 
 
@@ -454,12 +453,14 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "timeline":
-        tracer = Tracer()
-        kernel.attach_tracer(tracer)
+        from repro.obs import Telemetry
+        from repro.obs.spans import render_timeline
+        telemetry = Telemetry()
+        kernel.attach_telemetry(telemetry)
         with kernel.process() as run:
             wc(kernel, args.path, use_sleds=args.sleds)
-        kernel.detach_tracer()
-        print(render_timeline(tracer.events()))
+        kernel.detach_telemetry()
+        print(render_timeline(telemetry.spans.spans()))
         _report_run(run)
         return 0
 

@@ -10,8 +10,6 @@ paper's Figure 10).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.sim.units import MB
 
 #: plain byte-scanning rate (wc-style counting)
@@ -29,14 +27,6 @@ RECORD_CPU_PER_BYTE = 1.0 / (55 * MB)
 BINNING_CPU_PER_ELEMENT = 30.0e-9
 
 DEFAULT_BUFSIZE = 64 * 1024
-
-
-@dataclass
-class IoLoopStats:
-    """What a read loop saw; applications embed this in their results."""
-
-    bytes_read: int = 0
-    read_calls: int = 0
 
 
 def read_linear(kernel, fd: int, bufsize: int = DEFAULT_BUFSIZE):

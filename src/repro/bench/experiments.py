@@ -23,7 +23,6 @@ from repro.bench.report import ExperimentResult
 from repro.bench.workloads import (
     NEEDLE,
     BenchConfig,
-    Workload,
     fits_workload,
     make_machine,
     plant_needles,

@@ -32,7 +32,6 @@ from pathlib import Path
 
 from repro.fs.hsmfs import HsmFs
 from repro.machine import Machine
-from repro.sim.errors import InvalidArgumentError
 from repro.sim.units import KB, MB, PAGE_SIZE
 
 PROFILES = ("unix", "lheasoft", "hsm")

@@ -89,17 +89,6 @@ class FfSledsSession:
         return offset, count * self.element_size
 
 
-def _runs(sorted_values: list[int]) -> list[tuple[int, int]]:
-    """Group sorted ints into (start, run_length) tuples."""
-    out: list[tuple[int, int]] = []
-    for value in sorted_values:
-        if out and value == out[-1][0] + out[-1][1]:
-            out[-1] = (out[-1][0], out[-1][1] + 1)
-        else:
-            out.append((value, 1))
-    return out
-
-
 _ff_sessions: dict[tuple[int, int], FfSledsSession] = {}
 
 

@@ -19,15 +19,39 @@ sleds table learns.
 * :class:`Raid1` — mirroring: reads go to the member whose head is
   nearest (the classic mirror read optimisation); writes pay both
   members, completing with the slower.
+
+An array request books the component split of the member that set its
+duration: the slowest member of a stripe or a mirror write, the nearest
+member of a mirror read.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 import numpy as np
 
 from repro.devices.base import Device, DeviceSpec
 from repro.devices.disk import DiskDevice
 from repro.sim.units import KB
+
+
+def _timed(device: Device, requests,
+           is_write: bool) -> tuple[float, dict[str, float]]:
+    """Serve ``requests`` (``(addr, nbytes)`` pairs) on ``device`` in
+    order; returns their summed duration and the components they added to
+    its totals, under read names (the array's ``_account`` adds
+    ``write_``)."""
+    before = dict(device.component_totals)
+    total = 0.0
+    for addr, nbytes in requests:
+        if is_write:
+            total += device.write(addr, nbytes)
+        else:
+            total += device.read(addr, nbytes)
+    return total, {key.removeprefix("write_"): seconds - before.get(key, 0.0)
+                   for key, seconds in device.component_totals.items()
+                   if seconds != before.get(key, 0.0)}
 
 
 class Raid0(Device):
@@ -70,17 +94,10 @@ class Raid0(Device):
         return out
 
     def _access_time(self, addr: int, nbytes: int, is_write: bool) -> float:
-        per_member = []
-        for member, pieces in self._split(addr, nbytes).items():
-            device = self.members[member]
-            total = 0.0
-            for member_addr, take in pieces:
-                if is_write:
-                    total += device.write(member_addr, take)
-                else:
-                    total += device.read(member_addr, take)
-            per_member.append(total)
-        return max(per_member)
+        timed = [_timed(self.members[member], pieces, is_write)
+                 for member, pieces in self._split(addr, nbytes).items()]
+        duration, self._last_components = max(timed, key=itemgetter(0))
+        return duration
 
     def reset_state(self) -> None:
         super().reset_state()
@@ -110,11 +127,13 @@ class Raid1(Device):
                    key=lambda member: abs(member.head_position() - addr))
 
     def _access_time(self, addr: int, nbytes: int, is_write: bool) -> float:
-        if is_write:
-            # both copies must land; members work in parallel
-            return max(member.write(addr, nbytes)
-                       for member in self.members)
-        return self._nearest_member(addr).read(addr, nbytes)
+        # both copies of a write must land; members work in parallel
+        members = (self.members if is_write
+                   else [self._nearest_member(addr)])
+        duration, self._last_components = max(
+            (_timed(member, [(addr, nbytes)], is_write)
+             for member in members), key=itemgetter(0))
+        return duration
 
     def reset_state(self) -> None:
         super().reset_state()

@@ -30,7 +30,6 @@ from repro.fs.inode import (
     Allocator,
     Extent,
     Inode,
-    InodeKind,
     make_directory,
     make_file,
 )

@@ -157,8 +157,6 @@ class Kernel:
         #: with an engine attached, the per-device congestion epochs) —
         #: moves, making refetch O(changed-state) instead of O(file-pages)
         self._sled_cache: dict[int, tuple[tuple, SledVector, list]] = {}
-        #: optional event tracer (see repro.sim.trace); None = no tracing
-        self.tracer = None
         #: optional telemetry facade (see repro.obs.telemetry); None = off.
         #: Every telemetry hook below is purely observational: attached or
         #: not, virtual timings are bit-identical.
@@ -240,13 +238,6 @@ class Kernel:
     # accounting helpers
     # ------------------------------------------------------------------
 
-    def attach_tracer(self, tracer) -> None:
-        """Start recording events into ``tracer`` (repro.sim.trace)."""
-        self.tracer = tracer
-
-    def detach_tracer(self) -> None:
-        self.tracer = None
-
     def attach_telemetry(self, telemetry) -> None:
         """Attach a :class:`repro.obs.telemetry.Telemetry` (after mounting,
         so it can observe every filesystem's devices)."""
@@ -280,12 +271,9 @@ class Kernel:
         """Applications charge their processing time here."""
         self.clock.advance(seconds, "cpu")
 
-    def _syscall(self, name: str = "syscall") -> None:
+    def _syscall(self) -> None:
         self.counters.syscalls += 1
         self.clock.advance(self.syscall_overhead, "cpu")
-        if self.tracer is not None:
-            self.tracer.emit(self.clock.now, "syscall", name,
-                             self.syscall_overhead)
 
     def _charge_memory(self, nbytes: int) -> None:
         self.clock.advance(self.memory.read(0, nbytes), "memory")
@@ -335,7 +323,7 @@ class Kernel:
     @_syscall_span("open")
     def open(self, path: str, mode: str = "r") -> int:
         """Open ``path``; modes ``r``, ``r+``, ``w``, ``a``."""
-        self._syscall("open")
+        self._syscall()
         if mode not in ("r", "r+", "w", "a"):
             raise InvalidArgumentError(f"unsupported open mode {mode!r}")
         writable = mode != "r"
@@ -388,7 +376,7 @@ class Kernel:
 
     @_syscall_span("close")
     def close(self, fd: int) -> None:
-        self._syscall("close")
+        self._syscall()
         of = self._fd(fd)
         inode = of.inode
         last_of_unlinked = inode.id in self._unlinked and sum(
@@ -406,7 +394,7 @@ class Kernel:
         """Remove a file's directory entry.  Its cached pages, dirty state
         and space go with it, or on the last ``close`` while a descriptor
         still has it open (its bytes stay readable until then)."""
-        self._syscall("unlink")
+        self._syscall()
         fs, inode, rel = self.resolve(path)
         if inode.is_dir:
             raise IsADirectorySimError(path)
@@ -419,7 +407,7 @@ class Kernel:
 
     @_syscall_span("stat")
     def stat(self, path: str) -> StatResult:
-        self._syscall("stat")
+        self._syscall()
         fs, inode, _ = self.resolve(path)
         self._charge_metadata(fs)
         return StatResult(path=path, size=inode.size,
@@ -428,7 +416,7 @@ class Kernel:
     @_syscall_span("listdir")
     def listdir(self, path: str) -> list[str]:
         """Names in a directory, including any mount points grafted there."""
-        self._syscall("listdir")
+        self._syscall()
         fs, inode, _ = self.resolve(path)
         self._charge_metadata(fs)
         if not inode.is_dir:
@@ -446,7 +434,7 @@ class Kernel:
 
     @_syscall_span("lseek")
     def lseek(self, fd: int, offset: int, whence: int = SEEK_SET) -> int:
-        self._syscall("lseek")
+        self._syscall()
         of = self._fd(fd)
         if whence == SEEK_SET:
             new = offset
@@ -466,7 +454,7 @@ class Kernel:
     @_syscall_span("read")
     def read(self, fd: int, nbytes: int) -> bytes:
         """Read up to ``nbytes`` at the current position."""
-        self._syscall("read")
+        self._syscall()
         if nbytes < 0:
             raise InvalidArgumentError(f"negative read length: {nbytes}")
         of = self._fd(fd)
@@ -484,7 +472,7 @@ class Kernel:
     @_syscall_span("pread")
     def pread(self, fd: int, offset: int, nbytes: int) -> bytes:
         """Positional read; does not move the file offset or readahead."""
-        self._syscall("pread")
+        self._syscall()
         if offset < 0 or nbytes < 0:
             raise InvalidArgumentError(
                 f"negative offset/length: {offset}, {nbytes}")
@@ -523,7 +511,7 @@ class Kernel:
         # be serviced as a batch, which no per-fault hook may watch
         batch = ((readahead is None or readahead.max_pages == 1)
                  and self.noise <= 0.0 and telemetry is None
-                 and self.tracer is None and cache.observer is None
+                 and cache.observer is None
                  and type(of.fs).read_pages is FileSystem.read_pages)
         page = offset // PAGE_SIZE
         end = (offset + length - 1) // PAGE_SIZE + 1
@@ -599,9 +587,6 @@ class Kernel:
         clock.advance(seconds, category)
         counters.pages_read += cluster
         counters.readahead_pages += cluster - 1
-        if self.tracer is not None:
-            self.tracer.emit(clock.now, "fault", category, seconds,
-                             page=page, cluster=cluster, inode=inode_id)
         if telemetry is not None:
             telemetry.on_fault(
                 fs.device, inode_id, page, cluster, seconds,
@@ -673,7 +658,7 @@ class Kernel:
         Accounting (hits, faults, readahead clusters, bytes) matches the
         blocking ``read`` exactly; only *who waits* differs.
         """
-        self._syscall("read")
+        self._syscall()
         if nbytes < 0:
             raise InvalidArgumentError(f"negative read length: {nbytes}")
         of = self._fd(fd)
@@ -690,7 +675,7 @@ class Kernel:
 
     def pread_async(self, fd: int, offset: int, nbytes: int):
         """Positional ``read_async``; no offset motion, no readahead."""
-        self._syscall("pread")
+        self._syscall()
         if offset < 0 or nbytes < 0:
             raise InvalidArgumentError(
                 f"negative offset/length: {offset}, {nbytes}")
@@ -794,9 +779,9 @@ class Kernel:
     def _complete_runs(self, of: OpenFile, runs, futures,
                        tenant: str | None) -> None:
         """Finish serviced ``(page, cluster, window)`` runs whose
-        ``futures`` resolved: per run, in order, the read counters, the
-        tracer event and telemetry's ``on_fault``; then the inserts, one
-        ``insert_run`` per contiguous span.
+        ``futures`` resolved: per run, in order, the read counters and
+        telemetry's ``on_fault``; then the inserts, one ``insert_run``
+        per contiguous span.
 
         ``on_fault`` reads nothing the inserts change, except that its
         time-series tick samples the counters; every tick after the
@@ -809,9 +794,7 @@ class Kernel:
         inode_id = of.inode.id
         fs = of.fs
         device = fs.device
-        category = device.time_category
         counters = self.counters
-        tracer = self.tracer
         telemetry = self.telemetry
         now = self.clock.now
         tele_batch = None
@@ -823,17 +806,14 @@ class Kernel:
         for (page, cluster, window), future in zip(runs, futures):
             counters.pages_read += cluster
             counters.readahead_pages += cluster - 1
-            if tracer is None and telemetry is None:
+            if telemetry is None:
                 continue
             completion = future.value
             seconds = completion.duration
-            if tracer is not None:
-                tracer.emit(now, "fault", category, seconds,
-                            page=page, cluster=cluster, inode=inode_id)
             if tele_batch is not None:
                 tele_batch.add(device, inode_id, page, cluster, seconds,
                                now, window, fs, completion)
-            elif telemetry is not None:
+            else:
                 telemetry.on_fault(
                     device, inode_id, page, cluster, seconds,
                     now=now, window=window, fs=fs, completion=completion)
@@ -853,7 +833,7 @@ class Kernel:
         accounting), but delivering bytes costs only a per-page touch
         rather than a bcopy of every byte.
         """
-        self._syscall("mmap")
+        self._syscall()
         of = self._fd(fd)
         return MappedRegion(self, of)
 
@@ -872,7 +852,7 @@ class Kernel:
     def write(self, fd: int, data: bytes) -> int:
         """Write at the offset (in append mode, the end of the file) and
         move it past the bytes before any threshold flush."""
-        self._syscall("write")
+        self._syscall()
         of = self._writable(fd)
         if not data:
             return 0
@@ -887,7 +867,7 @@ class Kernel:
     @_syscall_span("pwrite")
     def pwrite(self, fd: int, offset: int, data: bytes) -> int:
         """Positional write; does not move the file offset."""
-        self._syscall("pwrite")
+        self._syscall()
         of = self._writable(fd)
         if offset < 0:
             raise InvalidArgumentError(f"negative offset: {offset}")
@@ -930,7 +910,7 @@ class Kernel:
 
     @_syscall_span("fsync")
     def fsync(self, fd: int) -> None:
-        self._syscall("fsync")
+        self._syscall()
         self._flush((self._fd(fd).inode.id,))
 
     def sync(self) -> None:
@@ -1015,7 +995,7 @@ class Kernel:
         queue (not a plug), where it contends with other tasks' reads,
         and the caller blocks on the completions.  Drive with ``yield
         from kernel.fsync_async(fd)``."""
-        self._syscall("fsync")
+        self._syscall()
         of = self._fd(fd)
         engine = self.engine
         if engine is None:
@@ -1062,7 +1042,7 @@ class Kernel:
         span = (tele.syscall_begin(name, self.clock.now)
                 if tele is not None else None)
         try:
-            self._syscall(name)
+            self._syscall()
             if cmd == FSLEDS_FILL:
                 if not isinstance(arg, dict):
                     raise InvalidArgumentError(

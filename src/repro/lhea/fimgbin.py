@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.common import BINNING_CPU_PER_ELEMENT
 from repro.core.ffsleds import (
     ffsleds_pick_finish,
     ffsleds_pick_init,

@@ -1,10 +1,9 @@
-"""Span-based tracing layered on the flat event tracer.
+"""Span-based tracing: the simulated kernel's one trace.
 
-:mod:`repro.sim.trace` records *point* events; this module adds the
-hierarchy: a ``read()`` syscall span contains the page-fault spans it
-triggered, and each fault span contains the device accesses that serviced
-it.  Spans carry virtual start/end times, so the whole tree is
-deterministic and replays identically run to run.
+A ``read()`` syscall span contains the page-fault spans it triggered,
+and each fault span contains the device accesses that serviced it.
+Spans carry virtual start/end times, so the whole tree is deterministic
+and replays identically run to run.
 
 Exports:
 
@@ -13,16 +12,15 @@ Exports:
   seconds become microsecond ``ts``/``dur`` fields of complete (``"X"``)
   events; the parent/child structure is preserved both by timestamp
   containment and an explicit ``args.span``/``args.parent`` pair.
-* a completed span can be forwarded into a legacy
-  :class:`~repro.sim.trace.Tracer`, so existing timeline rendering and
-  event-sequence assertions keep working on top of span data.
+* :func:`render_timeline` — a coarse ASCII timeline with one lane per
+  span kind (what ``sleds-run timeline`` prints).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class Span(NamedTuple):
@@ -69,14 +67,13 @@ class SpanRecorder:
 
     The recorder keeps a stack of open spans (the syscall currently
     executing); completed spans land in a bounded ring buffer, oldest
-    dropped first, mirroring :class:`~repro.sim.trace.Tracer` semantics.
+    dropped first.
     """
 
-    def __init__(self, capacity: int = 100_000, tracer=None) -> None:
+    def __init__(self, capacity: int = 100_000) -> None:
         if capacity <= 0:
             raise ValueError(f"span capacity must be positive: {capacity}")
         self.capacity = capacity
-        self.tracer = tracer
         self._spans: deque[Span] = deque(maxlen=capacity)
         self._stack: list[OpenSpan] = []
         self._next_id = 1
@@ -129,8 +126,6 @@ class SpanRecorder:
         if len(self._spans) == self.capacity:
             self.dropped += 1
         self._spans.append(span)
-        if self.tracer is not None:
-            self.tracer.emit(start, kind, name, end - start, **attrs)
         return span
 
     # -- queries ---------------------------------------------------------
@@ -181,3 +176,32 @@ def chrome_trace(spans: list[Span] | SpanRecorder) -> dict:
         "displayTimeUnit": "ms",
         "otherData": {"clock": "virtual", "source": "repro.obs.spans"},
     }
+
+
+def render_timeline(spans: Iterable[Span], width: int = 72,
+                    lanes: tuple[str, ...] = ("syscall", "fault",
+                                              "device")) -> str:
+    """A coarse ASCII timeline: one lane per span kind, one glyph per
+    time bucket that a span of that kind covers (``#``, or ``|`` for a
+    span of zero duration), over an axis from the first start to the
+    last end."""
+    items = list(spans)
+    if not items:
+        return "(no spans)"
+    t0 = min(s.start for s in items)
+    t1 = max(s.end for s in items)
+    extent = max(t1 - t0, 1e-12)
+    lines = []
+    for lane in lanes:
+        row = [" "] * width
+        for span in items:
+            if span.kind != lane:
+                continue
+            start = int((span.start - t0) / extent * (width - 1))
+            end = int((span.end - t0) / extent * (width - 1))
+            for i in range(start, min(width - 1, max(start, end)) + 1):
+                row[i] = "#" if span.end > span.start else "|"
+        lines.append(f"{lane:>8} {''.join(row)}")
+    lines.append(f"{'':>8} {'^' + ' ' * (width - 2) + '^'}")
+    lines.append(f"{'':>8} {t0:<{width // 2}.4f}{t1:>{width // 2}.4f}")
+    return "\n".join(lines)

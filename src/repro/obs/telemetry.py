@@ -35,10 +35,10 @@ class Telemetry:
     """Metrics registry + span recorder + SLED accuracy tracker +
     per-request lifecycle tracker."""
 
-    def __init__(self, span_capacity: int = 100_000, tracer=None,
+    def __init__(self, span_capacity: int = 100_000,
                  namespace: str = "repro") -> None:
         self.registry = MetricsRegistry(namespace=namespace)
-        self.spans = SpanRecorder(capacity=span_capacity, tracer=tracer)
+        self.spans = SpanRecorder(capacity=span_capacity)
         self.accuracy = SledAccuracyTracker(registry=self.registry)
         self.lifecycle = LifecycleTracker(registry=self.registry)
         #: optional time-series recorder (repro.obs.timeseries); None =

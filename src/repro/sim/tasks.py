@@ -27,8 +27,8 @@ two runs of the same workload are bit-identical.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterator
+from dataclasses import dataclass
+from typing import Callable, Generator
 
 from repro.sim.errors import InvalidArgumentError
 
@@ -312,7 +312,6 @@ def wc_task(kernel, path: str, use_sleds: bool = False,
     fd = kernel.open(path)
     try:
         lines = words = chars = 0
-        prev_in_word = False
         reader = (read_sleds_order(kernel, fd, bufsize) if use_sleds
                   else read_linear(kernel, fd, bufsize))
         tax = SLEDS_EXTRA_CPU_PER_BYTE if use_sleds else 0.0

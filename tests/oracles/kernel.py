@@ -47,7 +47,6 @@ def per_page_fault_in(kernel, of, offset: int, length: int,
     counters = kernel.counters
     clock = kernel.clock
     telemetry = kernel.telemetry
-    tracer = kernel.tracer
     prefetcher = kernel.prefetcher
     readahead = of.readahead
     npages = inode.npages
@@ -80,9 +79,6 @@ def per_page_fault_in(kernel, of, offset: int, length: int,
         clock.advance(seconds, category)
         counters.pages_read += cluster
         counters.readahead_pages += cluster - 1
-        if tracer is not None:
-            tracer.emit(clock.now, "fault", category, seconds,
-                        page=page, cluster=cluster, inode=inode_id)
         if telemetry is not None:
             telemetry.on_fault(
                 fs.device, inode_id, page, cluster, seconds,
@@ -154,10 +150,6 @@ def per_page_fault_in_async(kernel, of, offset: int, length: int,
         seconds = completion.duration
         counters.pages_read += cluster
         counters.readahead_pages += cluster - 1
-        if kernel.tracer is not None:
-            kernel.tracer.emit(kernel.clock.now, "fault",
-                               fs.device.time_category, seconds,
-                               page=page, cluster=cluster, inode=inode_id)
         if kernel.telemetry is not None:
             kernel.telemetry.on_fault(
                 fs.device, inode_id, page, cluster, seconds,
@@ -214,19 +206,14 @@ def per_page_fault_in_runs(kernel, of, offset: int, length: int,
                                      tenant=tenant)
                for page, cluster, _ in runs]
     yield futures
-    tracer = kernel.tracer
     telemetry = kernel.telemetry
     device = fs.device
-    category = device.time_category
     now = kernel.clock.now
     for (page, cluster, window), future in zip(runs, futures):
         completion = future.value
         seconds = completion.duration
         counters.pages_read += cluster
         counters.readahead_pages += cluster - 1
-        if tracer is not None:
-            tracer.emit(now, "fault", category, seconds,
-                        page=page, cluster=cluster, inode=inode_id)
         if telemetry is not None:
             telemetry.on_fault(
                 device, inode_id, page, cluster, seconds,
@@ -248,7 +235,7 @@ def use_per_page_engine_faults(kernel):
 
 
 def per_page_write(kernel, fd: int, data: bytes) -> int:
-    kernel._syscall("write")
+    kernel._syscall()
     of = kernel._fd(fd)
     if not of.writable:
         raise BadFileDescriptorError(f"fd {fd} not open for writing")
@@ -283,7 +270,7 @@ def per_page_write(kernel, fd: int, data: bytes) -> int:
 
 
 def per_page_pwrite(kernel, fd: int, offset: int, data: bytes) -> int:
-    kernel._syscall("pwrite")
+    kernel._syscall()
     of = kernel._fd(fd)
     if not of.writable:
         raise BadFileDescriptorError(f"fd {fd} not open for writing")
@@ -394,7 +381,7 @@ def writeback_requests(dirty_files) -> tuple[list, int]:
 
 
 def per_page_fsync_async(kernel, fd: int):
-    kernel._syscall("fsync")
+    kernel._syscall()
     of = kernel._fd(fd)
     yield from writeback_async(kernel, of.inode.id)
 

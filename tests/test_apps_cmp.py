@@ -1,7 +1,5 @@
 """Tests for the SLEDs-adapted cmp utility."""
 
-import pytest
-
 from repro.apps.cmp import cmp
 from repro.machine import Machine
 from repro.sim.units import PAGE_SIZE

@@ -5,7 +5,7 @@ import pytest
 from repro.apps.progress import retrieve_with_progress
 from repro.fs.content import SyntheticText
 from repro.machine import Machine
-from repro.sim.units import MB, PAGE_SIZE
+from repro.sim.units import MB
 
 
 def _unix_machine():

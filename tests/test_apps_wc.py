@@ -1,6 +1,5 @@
 """Tests for wc: correctness equivalence with and without SLEDs."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

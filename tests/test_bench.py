@@ -6,7 +6,7 @@ import pytest
 
 from repro.bench.cli import EXPERIMENTS, build_parser, main
 from repro.bench.loc_count import TABLE4_APPS, count_sleds_lines, table4_reports
-from repro.bench.measure import Measurement, measure_runs, summarize
+from repro.bench.measure import measure_runs, summarize
 from repro.bench.report import ExperimentResult
 from repro.bench.workloads import (
     BenchConfig,

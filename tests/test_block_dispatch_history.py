@@ -8,7 +8,6 @@ one device, and the ring is bounded with an explicit drop counter.
 """
 
 import numpy as np
-import pytest
 
 from repro.block.merge import BlockConfig
 from repro.block.scheduler import DeviceQueue, make_scheduler

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.records import adjust_to_records
-from repro.core.sled import Sled, SledVector
 from repro.machine import Machine
 from repro.sim.units import PAGE_SIZE
 

@@ -80,6 +80,49 @@ class TestRaid1:
         assert Raid1(members).capacity == min(m.capacity for m in members)
 
 
+def _delta(device, before):
+    return {key: total - before.get(key, 0.0)
+            for key, total in device.component_totals.items()
+            if total != before.get(key, 0.0)}
+
+
+class TestComponentBooking:
+    """An array request books the component split of the member that
+    set its duration, not its whole duration as transfer."""
+
+    @pytest.mark.parametrize("array", [
+        lambda: Raid0(_disks(2, seed=5)),
+        lambda: Raid1(_disks(2, seed=5)),
+    ], ids=["stripe", "mirror"])
+    @pytest.mark.parametrize("is_write", [False, True],
+                             ids=["read", "write"])
+    def test_array_books_the_deciding_members_split(self, array, is_write):
+        raid = array()
+        devices = [raid, *raid.members]
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            addr = int(rng.integers(0, raid.capacity // (4 * KB) - 16)) \
+                * 4 * KB
+            before = [dict(device.component_totals) for device in devices]
+            busy = [member.stats.busy_time for member in raid.members]
+            if is_write:
+                raid.write(addr, 64 * KB)
+            else:
+                raid.read(addr, 64 * KB)
+            booked, *shares = [_delta(device, totals)
+                               for device, totals in zip(devices, before)]
+            # the member that served longest set the duration
+            spent = [member.stats.busy_time - was if share else -1.0
+                     for member, was, share in zip(raid.members, busy,
+                                                   shares)]
+            deciding = shares[spent.index(max(spent))]
+            assert booked == pytest.approx(deciding, rel=1e-12)
+            assert set(booked) - {"transfer", "write_transfer"}
+            assert all(key.startswith("write_") == is_write
+                       and not key.startswith("write_write_")
+                       for key in booked)
+
+
 class TestRaidUnderSleds:
     def _machine(self, device):
         rng = RngStreams(41)

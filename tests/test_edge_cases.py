@@ -1,7 +1,6 @@
 """Edge-case tests across modules: empty files, tiny caches, boundary
 offsets, odd record layouts, and API misuse."""
 
-import numpy as np
 import pytest
 
 from repro.apps.grep import grep

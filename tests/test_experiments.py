@@ -6,8 +6,6 @@ seconds; the full-resolution regeneration lives in ``benchmarks/`` and the
 CLI.
 """
 
-import pytest
-
 from repro.bench import ablations, experiments
 from repro.bench.workloads import BenchConfig
 

@@ -9,12 +9,12 @@ machines, one routed through the oracle, over the joint configuration
 space: readahead window bounds (equal and non-power-of-two pairs
 included), random pre-resident pages and caches smaller than one span,
 replacement policies, 1 or 4 shards with tenant soft/hard limits, noise,
-a prefetcher, telemetry with time series, a tracer, bare cache and device
+a prefetcher, telemetry with time series, bare cache and device
 observers, and the ext2, cdrom, nfs and hsm filesystems.  Afterwards the whole virtual state must match:
 clock and categories, every kernel counter, the cache (stats, residency,
 recency, shards, tenants), every readahead window, device statistics and
-component totals, staging, prefetch accounting, the trace and the
-telemetry export (Prometheus text, OpenMetrics time series, spans).
+component totals, staging, prefetch accounting and the telemetry export
+(Prometheus text, OpenMetrics time series, every span).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.fs import inode as inode_mod
 from repro.machine import Machine, MachineConfig
 from repro.obs.telemetry import Telemetry
 from repro.sim.prefetch import Prefetcher
-from repro.sim.trace import Tracer
 from repro.sim.units import PAGE_SIZE
 
 from tests.oracles.kernel import use_per_page_faults
@@ -42,8 +41,8 @@ FDS = (0, 0, 1)
 
 
 #: what may watch or perturb each fault: noise, telemetry (with time
-#: series), a tracer, or a bare cache or device observer
-HOOKS = ("noise", "telemetry", "tracer", "cache", "device")
+#: series), or a bare cache or device observer
+HOOKS = ("noise", "telemetry", "cache", "device")
 one_hook = st.sampled_from(HOOKS).map(lambda hook: {hook})
 
 
@@ -158,7 +157,7 @@ def _run(cfg, program, oracle):
     if oracle:
         use_per_page_faults(kernel)
     hooks = cfg["hooks"]
-    telemetry = tracer = prefetcher = observer = None
+    telemetry = prefetcher = observer = None
     if "telemetry" in hooks:
         telemetry = Telemetry()
         telemetry.attach(kernel)
@@ -171,9 +170,6 @@ def _run(cfg, program, oracle):
         if "device" in hooks:
             for device in fs.observable_devices():
                 device.observer = observer
-    if "tracer" in hooks:
-        tracer = Tracer()
-        kernel.attach_tracer(tracer)
     if cfg["prefetcher"]:
         kernel.attach_engine()
         prefetcher = Prefetcher(kernel, max_run_pages=4).attach()
@@ -205,7 +201,7 @@ def _run(cfg, program, oracle):
         elif prefetcher is not None:
             prefetcher.prefetch_span(fs, inodes[op[1]], op[2], op[3])
             kernel.engine.loop.run_until_idle()
-    state = _state(kernel, fs, fds, data, telemetry, tracer, prefetcher)
+    state = _state(kernel, fs, fds, data, telemetry, prefetcher)
     if observer is not None:
         state["observed"] = observer.log
     return state
@@ -220,7 +216,7 @@ def _policy_state(policy):
     return out
 
 
-def _state(kernel, fs, fds, data, telemetry, tracer, prefetcher):
+def _state(kernel, fs, fds, data, telemetry, prefetcher):
     cache = kernel.page_cache
     state = {
         "clock": kernel.clock.now,
@@ -243,9 +239,7 @@ def _state(kernel, fs, fds, data, telemetry, tracer, prefetcher):
         state["prometheus"] = telemetry.render_prometheus()
         state["timeseries"] = telemetry.timeseries.render_openmetrics()
         state["telemetry"] = telemetry.to_dict()
-    if tracer is not None:
-        state["trace"] = [(e.time, e.kind, e.detail, e.duration, e.attrs)
-                          for e in tracer.events()]
+        state["spans"] = telemetry.spans.spans()
     if prefetcher is not None:
         state["prefetch"] = (prefetcher.issued_pages, prefetcher.used_pages,
                              prefetcher.tenant_used_pages)
@@ -267,7 +261,7 @@ def test_pipeline_matches_per_page_oracle(cfg, program):
 
 @settings(deadline=None)
 @given(cfg=configs(hooks=st.sampled_from(
-           (set(), {"noise"}, {"cache"}, {"device"}, {"tracer"})),
+           (set(), {"noise"}, {"cache"}, {"device"})),
                    max_pages=st.sampled_from((1, 1, 4))),
        program=st.lists(st.one_of(preads, preads, reads, tenant_switches),
                         min_size=4, max_size=24))

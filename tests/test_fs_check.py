@@ -1,14 +1,13 @@
 """Tests for the filesystem consistency checker."""
 
 import numpy as np
-import pytest
 
 from repro.devices.disk import DiskDevice
 from repro.fs.check import check_filesystem, check_machine
 from repro.fs.filesystem import Ext2Like
 from repro.fs.inode import Extent
 from repro.machine import Machine
-from repro.sim.units import MB, PAGE_SIZE
+from repro.sim.units import PAGE_SIZE
 
 
 def _fs():

@@ -1,7 +1,6 @@
 """End-to-end scenarios across the whole stack."""
 
 import numpy as np
-import pytest
 
 from repro.apps.findutil import find
 from repro.apps.gmc import file_properties
@@ -11,7 +10,7 @@ from repro.core.delivery import SLEDS_BEST, sleds_total_delivery_time
 from repro.fits.cfitsio import create_image
 from repro.lhea.fimhisto import fimhisto
 from repro.machine import Machine
-from repro.sim.units import MB, PAGE_SIZE
+from repro.sim.units import PAGE_SIZE
 
 NEEDLE = b"XNEEDLEX"
 

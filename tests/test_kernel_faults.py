@@ -4,7 +4,7 @@ through the kernel read path."""
 import pytest
 
 from repro.machine import Machine
-from repro.sim.units import MB, PAGE_SIZE
+from repro.sim.units import PAGE_SIZE
 
 
 def _machine(cache_pages=64):

@@ -11,7 +11,7 @@ from repro.sim.errors import (
     IsADirectorySimError,
     ReadOnlyFilesystemError,
 )
-from repro.sim.units import MB, PAGE_SIZE
+from repro.sim.units import PAGE_SIZE
 
 
 class TestOpenClose:

@@ -173,16 +173,6 @@ class TestSpans:
             assert len(members) >= 2
             assert (attrs["inode"], members) in merged_recs
 
-    def test_legacy_tracer_bridge(self):
-        from repro.sim.trace import Tracer
-        machine = _machine()
-        machine.ext2.create_text_file("data/f.txt", 8 * PAGE_SIZE, seed=7)
-        tracer = Tracer()
-        machine.kernel.attach_telemetry(Telemetry(tracer=tracer))
-        _wc_run(machine)
-        assert tracer.first("syscall", "open") is not None
-        assert tracer.events(kind="fault")
-
 
 class TestMetrics:
     def test_cache_metrics_match_kernel_counters(self, telemetry_machine):

@@ -11,7 +11,7 @@ from repro.bench.scenario import (
     build_scenario,
     load_scenario,
 )
-from repro.sim.units import KB, MB, PAGE_SIZE
+from repro.sim.units import KB, MB
 
 
 class TestBuildScenario:
@@ -128,8 +128,15 @@ class TestCli:
 
     def test_timeline(self, capsys):
         assert main(["timeline", "/mnt/ext2/demo/big.txt"]) == 0
-        out = capsys.readouterr().out
-        assert "fault" in out
+        lines = capsys.readouterr().out.splitlines()
+        lanes = {line.split()[0]: line[9:] for line in lines[:3]}
+        assert set(lanes) == {"syscall", "fault", "device"}
+        assert all("#" in row for row in lanes.values())
+        # the same run's report, line for line, as wc prints it
+        assert main(["wc", "/mnt/ext2/demo/big.txt"]) == 0
+        wc_lines = capsys.readouterr().out.splitlines()
+        report = lines[lines.index("---"):]
+        assert report == wc_lines[wc_lines.index("---"):]
 
     def test_scenario_file(self, capsys, tmp_path):
         path = tmp_path / "s.json"

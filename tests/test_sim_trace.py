@@ -1,174 +1,72 @@
-"""Tests for the event tracer and its kernel integration."""
+"""Tests for the trace a simulated kernel records: the telemetry span
+ring buffer as the kernel fills it, and a detached trace's zero cost."""
 
 import pytest
 
 from repro.machine import Machine
-from repro.sim.trace import TraceEvent, Tracer, render_timeline
+from repro.obs import Telemetry
 from repro.sim.units import PAGE_SIZE
 
 
+def _traced_machine(span_capacity: int = 100_000):
+    machine = Machine.unix_utilities(cache_pages=64, seed=501)
+    machine.boot()
+    telemetry = Telemetry(span_capacity=span_capacity)
+    machine.kernel.attach_telemetry(telemetry)
+    return machine, telemetry
+
+
 class TestTracer:
-    def test_emit_and_filter(self):
-        tracer = Tracer()
-        tracer.emit(1.0, "syscall", "read", 0.001)
-        tracer.emit(2.0, "fault", "disk", 0.02, page=3)
-        assert len(tracer) == 2
-        assert len(tracer.events(kind="fault")) == 1
-        assert tracer.events(kind="syscall", detail="read")[0].time == 1.0
-        assert tracer.events(since=1.5)[0].kind == "fault"
-
-    def test_attrs(self):
-        event = TraceEvent(1.0, "fault", "disk", 0.02,
-                           attrs=(("cluster", 4), ("page", 3)))
-        assert event.attr("page") == 3
-        assert event.attr("nope", "dflt") == "dflt"
-
     def test_ring_buffer_drops_oldest(self):
-        tracer = Tracer(capacity=3)
-        for i in range(5):
-            tracer.emit(float(i), "syscall", f"s{i}")
-        assert len(tracer) == 3
-        assert tracer.dropped == 2
-        assert tracer.events()[0].detail == "s2"
+        machine, telemetry = _traced_machine(span_capacity=3)
+        machine.ext2.create_text_file("f", PAGE_SIZE, seed=1)
+        k = machine.kernel
+        fd = k.open("/mnt/ext2/f")
+        for offset in (1, 2, 3):
+            k.lseek(fd, offset)
+        k.close(fd)
+        spans = telemetry.spans.spans()
+        assert len(telemetry.spans) == 3
+        assert telemetry.spans.dropped == 2
+        assert [s.name for s in spans] == ["lseek", "lseek", "close"]
+        assert [s.id for s in spans] == [3, 4, 5]
 
     def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            Tracer(capacity=0)
-
-    def test_time_by(self):
-        tracer = Tracer()
-        tracer.emit(0.0, "fault", "disk", 0.5)
-        tracer.emit(1.0, "fault", "disk", 0.25)
-        tracer.emit(2.0, "fault", "nfs", 1.0)
-        totals = tracer.time_by(lambda e: e.detail, kind="fault")
-        assert totals == {"disk": 0.75, "nfs": 1.0}
-
-    def test_first(self):
-        tracer = Tracer()
-        tracer.emit(0.0, "syscall", "open")
-        tracer.emit(1.0, "syscall", "read")
-        assert tracer.first("syscall").detail == "open"
-        assert tracer.first("syscall", "read").time == 1.0
-        assert tracer.first("fault") is None
+        for capacity in (0, -1):
+            with pytest.raises(ValueError):
+                Telemetry(span_capacity=capacity)
 
     def test_clear(self):
-        tracer = Tracer()
-        tracer.emit(0.0, "syscall", "open")
-        tracer.clear()
-        assert len(tracer) == 0
-
-    def test_filters_compose(self):
-        tracer = Tracer()
-        tracer.emit(0.0, "syscall", "read")
-        tracer.emit(1.0, "syscall", "read")
-        tracer.emit(2.0, "syscall", "write")
-        tracer.emit(3.0, "fault", "read")  # detail collides across kinds
-        events = tracer.events(kind="syscall", detail="read", since=0.5)
-        assert len(events) == 1
-        assert events[0].time == 1.0
+        machine, telemetry = _traced_machine(span_capacity=4)
+        machine.ext2.create_text_file("f", 8 * PAGE_SIZE, seed=1)
+        machine.kernel.warm_file("/mnt/ext2/f")
+        assert telemetry.spans.dropped > 0
+        telemetry.spans.clear()
+        assert len(telemetry.spans) == 0
+        assert telemetry.spans.dropped == 0
+        assert telemetry.spans.open_depth == 0
+        k = machine.kernel
+        k.close(k.open("/mnt/ext2/f"))
+        assert [s.name for s in telemetry.spans.spans()] == ["open", "close"]
 
 
 class TestKernelIntegration:
-    def _traced_machine(self):
-        machine = Machine.unix_utilities(cache_pages=64, seed=501)
-        machine.boot()
-        tracer = Tracer()
-        machine.kernel.attach_tracer(tracer)
-        return machine, tracer
-
-    def test_syscalls_traced_by_name(self):
-        machine, tracer = self._traced_machine()
-        machine.ext2.create_text_file("f", 4 * PAGE_SIZE, seed=1)
-        k = machine.kernel
-        fd = k.open("/mnt/ext2/f")
-        k.read(fd, 100)
-        k.lseek(fd, 0)
-        k.close(fd)
-        names = [e.detail for e in tracer.events(kind="syscall")]
-        assert names == ["open", "read", "lseek", "close"]
-
-    def test_faults_traced_with_cluster_info(self):
-        machine, tracer = self._traced_machine()
-        machine.ext2.create_text_file("f", 16 * PAGE_SIZE, seed=1)
-        machine.kernel.warm_file("/mnt/ext2/f")
-        faults = tracer.events(kind="fault")
-        assert faults
-        assert sum(e.attr("cluster") for e in faults) == 16
-        assert all(e.detail == "disk" for e in faults)
-        assert all(e.duration > 0 for e in faults)
-
-    def test_ioctls_traced_by_command_name(self):
-        machine, tracer = self._traced_machine()
-        machine.ext2.create_text_file("f", PAGE_SIZE, seed=1)
-        k = machine.kernel
-        fd = k.open("/mnt/ext2/f")
-        k.get_sleds(fd)
-        k.close(fd)
-        assert tracer.first("syscall", "FSLEDS_GET") is not None
-
-    def test_detach_stops_recording(self):
-        machine, tracer = self._traced_machine()
-        machine.kernel.detach_tracer()
-        machine.ext2.create_text_file("f", PAGE_SIZE, seed=1)
-        machine.kernel.warm_file("/mnt/ext2/f")
-        assert len(tracer.events(kind="fault")) == 0
-
-    def test_warm_run_emits_no_faults(self):
-        machine, tracer = self._traced_machine()
-        machine.ext2.create_text_file("f", 8 * PAGE_SIZE, seed=1)
-        machine.kernel.warm_file("/mnt/ext2/f")
-        tracer.clear()
-        machine.kernel.warm_file("/mnt/ext2/f")
-        assert tracer.events(kind="fault") == []
-
     def test_disabled_tracer_costs_nothing(self):
-        """Tracing must not perturb virtual time: with the tracer detached
-        the run is bit-identical to one on a machine that never traced."""
+        """Tracing must not perturb virtual time: with the telemetry
+        detached the run is bit-identical to one on a machine that never
+        traced, and nothing more is recorded."""
         plain = Machine.unix_utilities(cache_pages=64, seed=501)
         plain.boot()
         plain.ext2.create_text_file("f", 8 * PAGE_SIZE, seed=1)
 
-        machine, tracer = self._traced_machine()
-        machine.kernel.detach_tracer()
+        machine, telemetry = _traced_machine()
+        machine.kernel.detach_telemetry()
         machine.ext2.create_text_file("f", 8 * PAGE_SIZE, seed=1)
 
         with plain.kernel.process() as want:
             plain.kernel.warm_file("/mnt/ext2/f")
         with machine.kernel.process() as got:
             machine.kernel.warm_file("/mnt/ext2/f")
-        assert len(tracer) == 0
+        assert len(telemetry.spans) == 0
         assert got.elapsed == want.elapsed
         assert got.by_category == want.by_category
-
-
-class TestTimeline:
-    def test_render_empty(self):
-        assert render_timeline([]) == "(no events)"
-
-    def test_render_contains_lanes(self):
-        events = [
-            TraceEvent(0.0, "syscall", "read", 0.0),
-            TraceEvent(0.5, "fault", "disk", 0.2),
-        ]
-        text = render_timeline(events, width=40)
-        assert "syscall" in text
-        assert "fault" in text
-        assert "|" in text or "#" in text
-
-    def test_render_single_event(self):
-        # one event: the time span is degenerate but must still render
-        text = render_timeline([TraceEvent(1.0, "fault", "disk", 0.0)],
-                               width=40)
-        assert "fault" in text
-        assert "|" in text
-
-    def test_render_zero_duration_uses_tick_glyph(self):
-        events = [
-            TraceEvent(0.0, "syscall", "open", 0.0),
-            TraceEvent(1.0, "fault", "disk", 0.5),
-        ]
-        text = render_timeline(events, width=40)
-        syscall_row = next(l for l in text.splitlines() if "syscall" in l)
-        fault_row = next(l for l in text.splitlines() if "fault" in l)
-        assert "|" in syscall_row and "#" not in syscall_row
-        assert "#" in fault_row

@@ -171,7 +171,7 @@ class HsmStagingModel(RuleBasedStateMachine):
         from repro.devices.tape import TapeCartridge, TapeDevice
         from repro.fs.hsmfs import HsmFs
 
-        rng = __import__("numpy").random.default_rng(7)
+        rng = np.random.default_rng(7)
         changer = Autochanger(
             [TapeDevice(name="t0", rng=rng)],
             [TapeCartridge("V0"), TapeCartridge("V1")], rng=rng)

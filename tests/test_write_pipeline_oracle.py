@@ -15,8 +15,8 @@ and hsm filesystems (cdrom for the read-only errors), each beside a
 log file on a second filesystem; small caches under lru, clock or 2q,
 1 or 4 shards, tenant soft and hard caps and tenant switches; a small
 writeback threshold, the fcfs, sstf and clook elevators and noise;
-telemetry with or without a time series (and forensics), a tracer and
-a cache observer.  Programs mix ``write`` and ``pwrite`` (overwrites,
+telemetry with or without a time series (and forensics) and a cache
+observer.  Programs mix ``write`` and ``pwrite`` (overwrites,
 appends, sparse writes past the end of the file), ``read``, ``pread``,
 ``lseek``, ``fsync``, ``sync``, reopening with ``w`` or ``a``, unlink
 while open, injected failures and bad ranges, and — with the engine
@@ -44,7 +44,6 @@ from repro.fs import inode as inode_mod
 from repro.machine import Machine, MachineConfig
 from repro.obs import LatencyForensics, Telemetry
 from repro.sim.tasks import EventScheduler, Task
-from repro.sim.trace import Tracer
 from repro.sim.units import PAGE_SIZE
 
 from tests.oracles.kernel import use_per_page_writes
@@ -145,7 +144,6 @@ def cases(draw):
         noise=draw(st.booleans()),
         engine=draw(st.sampled_from(tuple(ENGINES))),
         telemetry=telemetry,
-        tracer=draw(st.booleans()),
         # telemetry installs its own cache observer
         cache_observer=telemetry is None and draw(st.booleans()),
         sizes=tuple(draw(byte_counts(0, 24)) for _ in range(2)))
@@ -279,7 +277,7 @@ def _run_numbered(cfg, program, oracle):
     kernel.io_scheduler = make_scheduler(cfg["scheduler"])
     if oracle:
         use_per_page_writes(kernel)
-    telemetry = tracer = observer = forensics = engine = None
+    telemetry = observer = forensics = engine = None
     if cfg["telemetry"] is not None:
         telemetry = Telemetry()
         telemetry.attach(kernel)
@@ -293,9 +291,6 @@ def _run_numbered(cfg, program, oracle):
                 forensics.attach(telemetry)
     if cfg["cache_observer"]:
         observer = kernel.page_cache.observer = Recorder()
-    if cfg["tracer"]:
-        tracer = Tracer()
-        kernel.attach_tracer(tracer)
     if cfg["engine"] is not None:
         engine = kernel.attach_engine(block=ENGINES[cfg["engine"]])
     read_only = filesystems[0].read_only
@@ -317,7 +312,7 @@ def _run_numbered(cfg, program, oracle):
                 inode = kernel._fds[fd].inode
                 inodes[inode.id] = inode
     return _state(kernel, engine, filesystems, fds, inodes, out, telemetry,
-                  forensics, tracer, observer)
+                  forensics, observer)
 
 
 def _policy_state(policy):
@@ -327,7 +322,7 @@ def _policy_state(policy):
 
 
 def _state(kernel, engine, filesystems, fds, inodes, out, telemetry,
-           forensics, tracer, observer):
+           forensics, observer):
     cache = kernel.page_cache
     devices = {id(device): device for fs in filesystems
                for device in fs.observable_devices()}
@@ -376,9 +371,6 @@ def _state(kernel, engine, filesystems, fds, inodes, out, telemetry,
     if forensics is not None:
         state["forensics"] = json.dumps(forensics.analyze(top=5).to_dict(),
                                         sort_keys=True)
-    if tracer is not None:
-        state["trace"] = [(e.time, e.kind, e.detail, e.duration, e.attrs)
-                          for e in tracer.events()]
     if observer is not None:
         state["observed"] = observer.log
     return state
