@@ -24,5 +24,7 @@ def test_fig13_cdf_separation(benchmark, config):
     spread_without = rows[90][1] - rows[10][1]
     spread_with = rows[90][2] - rows[10][2]
     assert spread_without > 0
+    assert spread_with < spread_without, \
+        "with-SLEDs distribution must be more concentrated than without"
     assert rows[60][2] < rows[60][1], \
         "with-SLEDs dominates through the 60th percentile"

@@ -15,17 +15,18 @@ Two access styles matter:
   residency *without* touching recency, so asking for SLEDs does not
   itself distort the cache state the SLEDs describe.
 
-For the SLED builder the cache additionally maintains a per-inode
-*residency index* (sorted interval runs; see
-:mod:`repro.cache.residency`) and a per-inode *generation*: a
-monotonically increasing counter bumped on every insert, eviction, or
-invalidation that changes the inode's residency.  The run-based index
-makes per-inode queries — :meth:`resident_runs`, :meth:`resident_count`,
-:meth:`resident_pages`, :meth:`invalidate_inode` — O(runs) instead of
-O(pages) or O(cache-size); the generation is the cache half of the stamp
-that lets the kernel serve repeated ``FSLEDS_GET`` requests without
-re-walking the file (see :mod:`repro.core.builder` and
-``docs/performance.md``).
+Residency lives in one structure, the per-inode *residency index*
+(sorted interval runs; see :mod:`repro.cache.residency`), which every
+membership test reads and the kernel's fault planner asks run questions
+of through :attr:`PageCache.residency`.  Beside it the cache keeps a
+per-inode *generation*: a monotonically increasing counter bumped on
+every insert, eviction, or invalidation that changes the inode's
+residency.  The run-based index makes per-inode queries —
+:meth:`resident_runs`, :meth:`resident_count`, :meth:`resident_pages`,
+:meth:`invalidate_inode` — O(runs) instead of O(pages) or
+O(cache-size); the generation is the cache half of the stamp that lets
+the kernel serve repeated ``FSLEDS_GET`` requests without re-walking
+the file (see :mod:`repro.core.builder` and ``docs/performance.md``).
 
 Multi-tenancy
 -------------
@@ -66,8 +67,6 @@ from dataclasses import dataclass, field
 from repro.cache.policies import (LruPolicy, PageKey, ReplacementPolicy,
                                   make_policy)
 from repro.cache.residency import RunResidency
-
-_EMPTY_PAGES: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -188,9 +187,8 @@ class PageCache:
         ]
         self._nshards = shards
         self._inserts_since_rebalance = 0
-        self._resident: set[PageKey] = set()
         self._pinned: set[PageKey] = set()
-        #: per-inode residency index
+        #: the residency index: which pages are resident, as runs per inode
         self._index = RunResidency()
         #: per-inode residency generation; entries survive full eviction so
         #: a generation never moves backwards for a given inode id
@@ -223,20 +221,27 @@ class PageCache:
     def nshards(self) -> int:
         return self._nshards
 
+    @property
+    def residency(self) -> RunResidency:
+        """The residency index, for run questions such as
+        :meth:`RunResidency.run_end`; callers outside the cache only
+        query it."""
+        return self._index
+
     def _shard_of(self, key: PageKey) -> _Shard:
         return self._shards[key[0] % self._nshards]
 
     # -- queries ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._resident)
+        return sum(shard.count for shard in self._shards)
 
     def __contains__(self, key: PageKey) -> bool:
-        return key in self._resident
+        return self._index.contains(key[0], key[1])
 
     def peek(self, key: PageKey) -> bool:
         """Residency check that does not disturb replacement state."""
-        return key in self._resident
+        return self._index.contains(key[0], key[1])
 
     def generation(self, inode_id: int) -> int:
         """The inode's residency generation: bumps on every insert,
@@ -338,8 +343,7 @@ class PageCache:
     def _drop_victim(self, victim: PageKey, shard: _Shard,
                      forced: bool = False) -> None:
         """The bookkeeping every eviction shares, once the victim has
-        left its shard's policy: residency, index, owner, counts."""
-        self._resident.discard(victim)
+        left its shard's policy: residency, owner, counts."""
         self._index_discard(victim)
         owner = self._tenant_forget(victim) if self._page_tenant else None
         shard.count -= 1
@@ -361,7 +365,7 @@ class PageCache:
         A miss does *not* insert; the kernel inserts after the device read
         completes, via :meth:`insert`.
         """
-        if key in self._resident:
+        if self._index.contains(key[0], key[1]):
             self._shard_of(key).policy.on_hit(key)
             self.stats.hits += 1
             if self.observer is not None:
@@ -376,16 +380,17 @@ class PageCache:
         """:meth:`access` hits on the ``n`` pages ``[start, start+n)`` of
         one inode, in page order — the caller found them all resident.
 
-        The inode's shard policy sees one ``on_hit`` per page and the
-        observer one ``on_cache_access`` per page, exactly as ``n``
-        :meth:`access` calls would make them."""
-        on_hit = self._shards[inode_id % self._nshards].policy.on_hit
+        The inode's shard policy sees one ``on_hit_run``, which equals
+        an ``on_hit`` per page, and the observer one ``on_cache_access``
+        per page, as ``n`` :meth:`access` calls would make them.  A hit
+        moves no count or generation, so the observer's calls may follow
+        the policy's."""
+        self._shards[inode_id % self._nshards].policy.on_hit_run(
+            inode_id, start, n)
         observer = self.observer
-        for page in range(start, start + n):
-            key = (inode_id, page)
-            on_hit(key)
-            if observer is not None:
-                observer.on_cache_access(key, hit=True)
+        if observer is not None:
+            for page in range(start, start + n):
+                observer.on_cache_access((inode_id, page), hit=True)
         self.stats.hits += n
 
     def insert(self, key: PageKey, tenant: str | None = None) -> PageKey | None:
@@ -404,7 +409,7 @@ class PageCache:
         path with no tenant bookkeeping.
         """
         shard = self._shards[key[0] % self._nshards]
-        if key in self._resident:
+        if self._index.contains(key[0], key[1]):
             shard.policy.on_hit(key)
             return None
         return self._insert_new(shard, key, tenant)
@@ -421,7 +426,6 @@ class PageCache:
             self._enforce_hard_cap(tenant)
         if shard.count >= shard.capacity:
             evicted = self._evict_one(shard)
-        self._resident.add(key)
         self._index_add(key)
         shard.policy.on_insert(key)
         shard.count += 1
@@ -443,11 +447,14 @@ class PageCache:
         inode, in page order, as one call — the kernel completes each
         span of fault clusters it has read with this.
 
-        Each page takes :meth:`insert`'s own steps (a resident page
-        refreshes its recency, a new one goes through
-        :meth:`_insert_new`), so evictions, their owners, victim
-        choices, rebalance points, hook calls and the counters and
-        generations each hook sees match ``n`` :meth:`insert` calls.
+        Each page takes :meth:`insert`'s own steps, so evictions, their
+        owners, victim choices, rebalance points, hook calls and the
+        counters and generations each hook sees match ``n``
+        :meth:`insert` calls.  The run is walked in index pieces: a
+        resident piece refreshes its recency with one ``on_hit_run``, a
+        new one goes page by page through :meth:`_insert_new`.  Each
+        piece is asked for only when the walk reaches it, because
+        inserting the pages before it may evict pages after it.
 
         An untenanted run of new pages into a one-shard LRU cache with no
         pins, limits or observer takes a shortcut: scalar interleaving
@@ -463,48 +470,36 @@ class PageCache:
             return
         shard = self._shards[inode_id % self._nshards]
         policy = shard.policy
-        resident = self._resident
-        if not ((inode_id, start) not in resident
-                and tenant is None and self._nshards == 1
+        index = self._index
+        if not (tenant is None and self._nshards == 1
                 and not self._pinned and self.observer is None
                 and not self._tenant_limits and not self._page_tenant
                 and type(policy) is LruPolicy and n <= shard.capacity
-                and not self._index.any_in(inode_id, start, n)):
+                and not index.any_in(inode_id, start, n)):
             insert_new = self._insert_new
-            for page in range(start, start + n):
-                key = (inode_id, page)
-                if key in resident:
-                    policy.on_hit(key)
+            page, stop = start, start + n
+            while page < stop:
+                end = index.run_end(inode_id, page)
+                if end > page:
+                    end = min(end, stop)
+                    policy.on_hit_run(inode_id, page, end - page)
                 else:
-                    insert_new(shard, key, tenant)
+                    end = index.next_resident(inode_id, page + 1, stop)
+                    for new in range(page, end):
+                        insert_new(shard, (inode_id, new), tenant)
+                page = end
             return
         need = shard.count + n - shard.capacity
         generations = self._generations
         if need > 0:
-            index = self._index
-            # group consecutive same-inode victims into index run-discards
-            run_inode = run_start = run_len = None
-            for _ in range(need):
-                victim = policy.choose_victim()
-                resident.discard(victim)
-                vin, vpage = victim
-                if run_inode == vin and vpage == run_start + run_len:
-                    run_len += 1
-                else:
-                    if run_inode is not None:
-                        index.discard_run(run_inode, run_start, run_len)
-                        generations[run_inode] = (
-                            generations.get(run_inode, 0) + run_len)
-                    run_inode, run_start, run_len = vin, vpage, 1
-            index.discard_run(run_inode, run_start, run_len)
-            generations[run_inode] = generations.get(run_inode, 0) + run_len
+            for vin, vstart, vn in policy.choose_victims(need):
+                index.discard_run(vin, vstart, vn)
+                generations[vin] = generations.get(vin, 0) + vn
             shard.count -= need
             self.stats.evictions += need
             if self.eviction_sink is not None:
                 self.eviction_sink.note_evictions(need, None)
-        resident.update([(inode_id, page)
-                         for page in range(start, start + n)])
-        self._index.add_run(inode_id, start, n)
+        index.add_run(inode_id, start, n)
         generations[inode_id] = generations.get(inode_id, 0) + n
         policy.on_insert_run(inode_id, start, n)
         shard.count += n
@@ -616,8 +611,10 @@ class PageCache:
         pin budget (``max_pinned_fraction`` of capacity) is exhausted —
         the reservation analogue of mlock limits.
         """
-        if key not in self._resident or key in self._pinned:
-            return key in self._pinned
+        if key in self._pinned:
+            return True
+        if not self._index.contains(key[0], key[1]):
+            return False
         if (len(self._pinned) + 1
                 > self.max_pinned_fraction * self.capacity_pages):
             return False
@@ -642,10 +639,9 @@ class PageCache:
 
     def invalidate(self, key: PageKey) -> bool:
         """Drop one page; returns True if it was resident."""
-        if key not in self._resident:
+        if not self._index.contains(key[0], key[1]):
             return False
         shard = self._shard_of(key)
-        self._resident.discard(key)
         self._index_discard(key)
         self._pinned.discard(key)
         if self._page_tenant:
@@ -670,7 +666,6 @@ class PageCache:
         for page in self._index.pop_inode(inode_id):
             count += 1
             key = (inode_id, page)
-            self._resident.discard(key)
             self._pinned.discard(key)
             if self._page_tenant:
                 self._tenant_forget(key)
@@ -683,21 +678,9 @@ class PageCache:
         return count
 
     def clear(self) -> int:
-        """Drop everything (e.g. to simulate a cold boot); returns count."""
-        count = len(self._resident)
-        for key in list(self._resident):
-            self._shard_of(key).policy.on_remove(key)
-            if self.observer is not None:
-                self.observer.on_cache_remove(key)
-        self._resident.clear()
-        self._pinned.clear()
-        self._page_tenant.clear()
-        self._tenant_pages.clear()
-        self._tenant_shard_pages.clear()
-        for shard in self._shards:
-            shard.count = 0
-        for inode_id in list(self._index.inodes()):
-            self._generations[inode_id] = self._generations.get(inode_id, 0) + 1
-        self._index.clear()
-        self.stats.invalidations += count
-        return count
+        """Drop everything (e.g. to simulate a cold boot); returns count.
+
+        Each resident inode is invalidated in turn, its pages in
+        ascending order."""
+        return sum(self.invalidate_inode(inode_id)
+                   for inode_id in list(self._index.inodes()))

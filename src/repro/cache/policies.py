@@ -8,16 +8,36 @@ like LRU for this workload, while 2Q's scan resistance changes which pages
 survive a pass and therefore how much SLEDs can win.
 
 A policy tracks *keys* only; the cache owns the mapping and the capacity
-bookkeeping.
+bookkeeping.  Keys are ``(inode_id, page)`` pairs, so a policy can also
+take a run of one inode's pages in one call
+(:meth:`~ReplacementPolicy.on_hit_run`) and hand its victims back as
+runs (:meth:`~ReplacementPolicy.choose_victims`).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Hashable
+from typing import Hashable, Iterable
 
 PageKey = Hashable
+
+
+def _as_runs(keys: Iterable[PageKey]) -> list[tuple[int, int, int]]:
+    """``(inode, page)`` keys, in their order, grouped into
+    ``(inode, start, n)`` runs of consecutive pages of one inode."""
+    runs: list[tuple[int, int, int]] = []
+    run_inode = run_start = run_len = None
+    for inode_id, page in keys:
+        if inode_id == run_inode and page == run_start + run_len:
+            run_len += 1
+        else:
+            if run_inode is not None:
+                runs.append((run_inode, run_start, run_len))
+            run_inode, run_start, run_len = inode_id, page, 1
+    if run_inode is not None:
+        runs.append((run_inode, run_start, run_len))
+    return runs
 
 
 class ReplacementPolicy(ABC):
@@ -40,9 +60,22 @@ class ReplacementPolicy(ABC):
     def on_hit(self, key: PageKey) -> None:
         """A cached page was accessed."""
 
+    def on_hit_run(self, inode_id: int, start: int, n: int) -> None:
+        """The cached pages ``[start, start+n)`` of one inode were
+        accessed, in page order: one :meth:`on_hit` per page."""
+        on_hit = self.on_hit
+        for page in range(start, start + n):
+            on_hit((inode_id, page))
+
     @abstractmethod
     def choose_victim(self) -> PageKey:
         """Pick (and forget) the page to evict.  Cache must be non-empty."""
+
+    def choose_victims(self, k: int) -> list[tuple[int, int, int]]:
+        """Pick (and forget) the ``k`` pages ``k`` :meth:`choose_victim`
+        calls would, as ``(inode, start, n)`` runs in eviction order.
+        The policy must track at least ``k`` keys."""
+        return _as_runs([self.choose_victim() for _ in range(k)])
 
     @abstractmethod
     def on_remove(self, key: PageKey) -> None:
@@ -83,9 +116,18 @@ class LruPolicy(ReplacementPolicy):
     def on_hit(self, key: PageKey) -> None:
         self._order.move_to_end(key)
 
+    def on_hit_run(self, inode_id: int, start: int, n: int) -> None:
+        move_to_end = self._order.move_to_end
+        for page in range(start, start + n):
+            move_to_end((inode_id, page))
+
     def choose_victim(self) -> PageKey:
         key, _ = self._order.popitem(last=False)
         return key
+
+    def choose_victims(self, k: int) -> list[tuple[int, int, int]]:
+        popitem = self._order.popitem
+        return _as_runs([popitem(False)[0] for _ in range(k)])
 
     def on_remove(self, key: PageKey) -> None:
         self._order.pop(key, None)

@@ -1,17 +1,20 @@
-"""The page cache's per-inode residency index, as interval runs.
+"""The page cache's residency index, as interval runs per inode.
 
-The page cache tracks which ``(inode, page)`` keys are resident in a flat
-set (O(1) membership on the fault path), plus a *per-inode index* that
-answers the SLED builder's questions: which pages of this inode are
-resident, as a bitmap, as a count, or — the shape the interval-merge
-builder actually wants — as sorted ``[start, end)`` runs.
+:class:`RunResidency` is the page cache's only record of which
+``(inode, page)`` keys are resident.  It answers the fault path's
+questions — is this page resident (:meth:`~RunResidency.contains`),
+where does its resident run end (:meth:`~RunResidency.run_end`), where
+is the next resident page (:meth:`~RunResidency.next_resident`) — and
+the SLED builder's: which pages of this inode are resident, as a
+bitmap, as a count, or — the shape the interval-merge builder actually
+wants — as sorted ``[start, end)`` runs.
 
-:class:`RunResidency` stores each inode's resident pages as sorted
-interval runs in a flat boundary list ``[s0, e0, s1, e1, ...]``.  Point
-updates are a ``bisect`` plus an O(1) boundary tweak in the common
-sequential case; ``runs``/``count``/``bitmap`` queries are O(runs), not
-O(pages) — a million-page resident file is *one* run.  ``pop_inode``
-hands pages back in ascending order so observer callbacks fire in a
+Each inode's resident pages are sorted interval runs in a flat boundary
+list ``[s0, e0, s1, e1, ...]``.  Point questions and updates are a
+``bisect`` plus an O(1) boundary tweak in the common sequential case;
+``runs``/``count``/``bitmap`` queries are O(runs), not O(pages) — a
+million-page resident file is *one* run.  ``pop_inode`` hands pages
+back in ascending order so observer callbacks fire in a
 deterministic order.
 """
 
@@ -89,6 +92,31 @@ class RunResidency:
             bounds[i] = start
         else:
             bounds[i:i] = (start, end)
+
+    def contains(self, inode_id: int, page: int) -> bool:
+        """Whether ``page`` of the inode is resident."""
+        bounds = self._bounds.get(inode_id)
+        return bounds is not None and bool(bisect_right(bounds, page) & 1)
+
+    def run_end(self, inode_id: int, page: int) -> int:
+        """The end of the resident run that holds ``page``; ``page``
+        itself when it is not resident."""
+        bounds = self._bounds.get(inode_id)
+        if bounds is None:
+            return page
+        i = bisect_right(bounds, page)
+        return bounds[i] if i & 1 else page
+
+    def next_resident(self, inode_id: int, page: int, limit: int) -> int:
+        """The first resident page in ``[page, limit)``; ``limit`` when
+        there is none."""
+        bounds = self._bounds.get(inode_id)
+        if bounds is None or page >= limit:
+            return limit
+        i = bisect_right(bounds, page)
+        if i & 1:
+            return page
+        return bounds[i] if i < len(bounds) and bounds[i] < limit else limit
 
     def any_in(self, inode_id: int, start: int, n: int) -> bool:
         """Whether any page of ``[start, start+n)`` is resident."""
@@ -189,7 +217,3 @@ class RunResidency:
 
     def inodes(self) -> Iterable[int]:
         return self._bounds.keys()
-
-    def clear(self) -> None:
-        self._bounds.clear()
-        self._counts.clear()

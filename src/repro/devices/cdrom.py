@@ -33,6 +33,9 @@ class CdromDevice(Device):
     #: that a merged read streams through small inter-span gaps instead
     _gap_read_through_bytes = 128 * KB
 
+    #: upper bound of a seek's re-sync jitter: one sector window
+    resync_jitter = 10.0 * MSEC
+
     def __init__(self, name: str = "cdrom", capacity: int = 650 * MB,
                  base_settle: float = 60.0 * MSEC,
                  max_travel: float = 80.0 * MSEC,
@@ -71,8 +74,7 @@ class CdromDevice(Device):
             duration = self.base_settle + self.max_travel * math.sqrt(frac)
             if frac > 0.25:
                 duration += self.speed_change
-            # re-sync jitter of up to one sector window
-            duration += float(self.rng.uniform(0.0, 10.0 * MSEC))
+            duration += self.resync_jitter * self.rng.random()
             self.stats.seeks += 1
             transfer = nbytes / self.spec.bandwidth
             positioning = duration

@@ -154,7 +154,7 @@ class DiskDevice(Device):
                 addr, nbytes)
         else:
             seek = self.seek_time(self.head_pos, addr)
-            rotation = float(self.rng.uniform(0.0, self.rotation_period))
+            rotation = self.rotation_period * self.rng.random()
             transfer = nbytes / self.bandwidth_at(addr)
             duration = self.controller_overhead
             duration += seek

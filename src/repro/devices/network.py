@@ -145,8 +145,7 @@ class NfsDevice(Device):
                 # the server disk plus a queueing penalty for a busy
                 # server.
                 server_time = self.server_disk.read(addr, nbytes)
-                server_time += float(
-                    self.rng.uniform(0.0, self.server_cache_penalty))
+                server_time += self.server_cache_penalty * self.rng.random()
                 self.stats.seeks += 1
             network = self.rtt + self.request_overhead
             wire = nbytes / self.link_bandwidth

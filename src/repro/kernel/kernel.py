@@ -506,7 +506,7 @@ class Kernel:
         cache = self.page_cache
         telemetry = self.telemetry
         readahead = of.readahead if use_readahead else None
-        resident = cache._resident
+        index = cache.residency
         # the only dispatch left: whether a run of one-page clusters may
         # be serviced as a batch, which no per-fault hook may watch
         batch = ((readahead is None or readahead.max_pages == 1)
@@ -517,11 +517,10 @@ class Kernel:
         end = (offset + length - 1) // PAGE_SIZE + 1
         while page < end:
             stop = page + 1
-            if (inode_id, page) in resident:
+            if index.contains(inode_id, page):
                 stop = self._hit_resident(inode_id, page, end, readahead)
             elif batch:
-                while stop < end and (inode_id, stop) not in resident:
-                    stop += 1
+                stop = index.next_resident(inode_id, stop, end)
                 if readahead is not None:
                     readahead.advise_run(page, stop - page)
                 self._fault_run(of, page, stop - page)
@@ -538,10 +537,7 @@ class Kernel:
         step: :meth:`PageCache.hit_run`, :meth:`ReadaheadWindow.advise_run`
         and the hit counters.  Returns the run's end."""
         cache = self.page_cache
-        resident = cache._resident
-        stop = page + 1
-        while stop < end and (inode_id, stop) in resident:
-            stop += 1
+        stop = min(cache.residency.run_end(inode_id, page), end)
         n = stop - page
         if readahead is not None:
             readahead.advise_run(page, n)
@@ -575,11 +571,8 @@ class Kernel:
         counters.hard_faults += 1
         if tenant is not None:
             counters.note_tenant_miss(tenant)
-        resident = cache._resident
-        cluster = 1
-        limit = min(window, inode.npages - page)
-        while cluster < limit and (inode_id, page + cluster) not in resident:
-            cluster += 1
+        cluster = cache.residency.next_resident(
+            inode_id, page + 1, page + min(window, inode.npages - page)) - page
         if telemetry is not None:
             before = snapshot_components(fs)
         seconds = self._noisy(fs.read_pages(inode, page, cluster))
@@ -639,12 +632,15 @@ class Kernel:
         insert_run(inode_id, start, end - start, tenant)
         telemetry = self.telemetry
         if telemetry is not None:
-            resident = cache._resident
+            index = cache.residency
             for page, n, _ in clusters:
-                for extra in range(page + 1, page + n):
-                    key = (inode_id, extra)
-                    if key in resident:
-                        telemetry.on_readahead_insert(key)
+                extra, stop = page + 1, page + n
+                while extra < stop:
+                    extra = index.next_resident(inode_id, extra, stop)
+                    run_end = min(index.run_end(inode_id, extra), stop)
+                    for marked in range(extra, run_end):
+                        telemetry.on_readahead_insert((inode_id, marked))
+                    extra = run_end
 
     # -- the event-driven read path ------------------------------------
 
@@ -727,7 +723,7 @@ class Kernel:
         fs = of.fs
         cache = self.page_cache
         counters = self.counters
-        resident = cache._resident
+        index = cache.residency
         npages = inode.npages
         tenant = self.current_tenant
         readahead = of.readahead if use_readahead else None
@@ -735,7 +731,7 @@ class Kernel:
         page = offset // PAGE_SIZE
         end = (offset + length - 1) // PAGE_SIZE + 1
         while page < end:
-            if (inode_id, page) in resident:
+            if index.contains(inode_id, page):
                 page = self._hit_resident(inode_id, page, end, readahead)
                 continue
             window = readahead.advise(page) if readahead is not None else 1
@@ -744,11 +740,8 @@ class Kernel:
             counters.hard_faults += 1
             if tenant is not None:
                 counters.note_tenant_miss(tenant)
-            cluster = 1
-            limit = min(window, npages - page)
-            while (cluster < limit
-                   and (inode_id, page + cluster) not in resident):
-                cluster += 1
+            cluster = index.next_resident(
+                inode_id, page + 1, page + min(window, npages - page)) - page
             if park_per_cluster:
                 future = engine.submit_cluster(fs, inode, page, cluster,
                                                tenant=tenant)
@@ -1037,9 +1030,10 @@ class Kernel:
         ``FSLEDS_GET`` returns a :class:`~repro.core.sled.SledVector` and
         charges the kernel page-walk CPU cost.
         """
-        name = COMMAND_NAMES.get(cmd, f"ioctl:0x{cmd:04x}")
         tele = self.telemetry
-        span = (tele.syscall_begin(name, self.clock.now)
+        span = (tele.syscall_begin(
+                    COMMAND_NAMES.get(cmd) or f"ioctl:0x{cmd:04x}",
+                    self.clock.now)
                 if tele is not None else None)
         try:
             self._syscall()

@@ -3,17 +3,19 @@
 :class:`repro.cache.residency.RunResidency` keeps each inode's resident
 pages as interval runs.  :class:`SetResidency` answers the same queries
 from a ``set[int]`` per inode — the obvious structure, and the one the
-run index replaced.  ``tests/test_cache_residency.py`` requires the two
-to agree with a model under any legal update sequence, and the identity
-tests run whole machines on both (:func:`use_set_residency`) and demand
-bit-identical virtual outcomes.
+run index replaced.  Its run questions (``run_end``, ``next_resident``)
+probe one page at a time up to the limit, as the fault planner's
+per-page key probes did.  ``tests/test_cache_residency.py`` requires the
+two to agree with a model under any legal update sequence, and the
+identity tests run whole machines on both (:func:`use_set_residency`)
+and demand bit-identical virtual outcomes.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-__all__ = ["SetResidency", "use_set_residency"]
+__all__ = ["SetResidency", "resident_keys", "use_set_residency"]
 
 _EMPTY_PAGES: frozenset[int] = frozenset()
 
@@ -35,6 +37,21 @@ class SetResidency:
     def add_run(self, inode_id: int, start: int, n: int) -> None:
         self._by_inode.setdefault(inode_id, set()).update(
             range(start, start + n))
+
+    def contains(self, inode_id: int, page: int) -> bool:
+        return page in self._by_inode.get(inode_id, _EMPTY_PAGES)
+
+    def run_end(self, inode_id: int, page: int) -> int:
+        pages = self._by_inode.get(inode_id, _EMPTY_PAGES)
+        while page in pages:
+            page += 1
+        return page
+
+    def next_resident(self, inode_id: int, page: int, limit: int) -> int:
+        pages = self._by_inode.get(inode_id, _EMPTY_PAGES)
+        while page < limit and page not in pages:
+            page += 1
+        return min(page, limit)
 
     def any_in(self, inode_id: int, start: int, n: int) -> bool:
         pages = self._by_inode.get(inode_id, ())
@@ -93,8 +110,13 @@ class SetResidency:
     def inodes(self) -> Iterable[int]:
         return self._by_inode.keys()
 
-    def clear(self) -> None:
-        self._by_inode.clear()
+
+def resident_keys(cache) -> list[tuple[int, int]]:
+    """Every resident ``(inode, page)`` key of a page cache, sorted, as
+    its residency index records them."""
+    index = cache.residency
+    return sorted((inode_id, page) for inode_id in index.inodes()
+                  for page in index.pages(inode_id))
 
 
 def use_set_residency(machine):

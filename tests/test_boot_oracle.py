@@ -19,16 +19,22 @@ a cache, whose device declines ``read_run``.
 The one-call draw relies on numpy giving the same int64 sequence as one
 scalar draw per probe; :func:`test_probe_draws_match_scalar_draws` pins
 that over every range boot draws from, so a numpy that breaks it fails
-here instead of silently moving the sleds table.
+here instead of silently moving the sleds table.  Each probe's seek
+draws its rotation, re-sync or server delay as ``x * rng.random()``
+rather than ``rng.uniform(0.0, x)``;
+:func:`test_delay_draws_match_uniform_draws` pins that the two agree.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.lmbench import LATENCY_PROBES
+from repro.devices.cdrom import CdromDevice
 from repro.devices.disk import DiskDevice
 from repro.devices.memory import MemoryDevice
 from repro.devices.network import NfsDevice
@@ -142,3 +148,36 @@ def test_probe_draws_match_scalar_draws():
                                    size=LATENCY_PROBES).tolist() == draws
             assert (vector.bit_generator.state
                     == scalar.bit_generator.state), limit
+
+
+@functools.cache
+def _delay_scales() -> tuple[float, ...]:
+    """The upper bound of every uniform delay a device draws: each
+    disk's rotation period, each NFS device's server-cache penalty and
+    the CD-ROM's re-sync jitter."""
+    scales = {CdromDevice.resync_jitter}
+    for make in MACHINES.values():
+        for device in _devices(make(0)):
+            if isinstance(device, DiskDevice):
+                scales.add(device.rotation_period)
+            elif isinstance(device, NfsDevice):
+                scales.add(device.server_cache_penalty)
+    return tuple(sorted(scales))
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_delay_draws_match_uniform_draws(seed):
+    """The devices draw a delay up to ``x`` as ``x * rng.random()``; numpy
+    computes ``uniform(0.0, x)`` as ``0.0 + x * random()``, so both give
+    the same value draw for draw and leave the generator in the same
+    state (the next draw agrees), for every ``x`` the devices use."""
+    scales = _delay_scales()
+    assert len(scales) >= 3
+    for scale in scales:
+        product = np.random.default_rng(seed)
+        uniform = np.random.default_rng(seed)
+        for _ in range(50):
+            assert (scale * product.random()
+                    == float(uniform.uniform(0.0, scale))), scale
+        assert product.random() == uniform.random(), scale

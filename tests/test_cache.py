@@ -13,6 +13,8 @@ from repro.cache.policies import (
 )
 from repro.cache.readahead import ReadaheadWindow
 
+from tests.oracles.residency import resident_keys
+
 
 class TestLruPolicy:
     def test_evicts_least_recent(self):
@@ -257,24 +259,28 @@ class TestResidencyIndex:
         st.sampled_from(["lru", "clock", "2q"]))
     @settings(max_examples=50, deadline=None)
     def test_index_mirrors_resident_under_churn(self, ops, policy):
-        """The per-inode index is always exactly a partition of the
-        resident set, for every policy and operation mix."""
+        """The residency index always holds exactly the pages a model
+        set kept from the same operations holds (an insert adds its key
+        and drops the key it evicted), for every policy and operation
+        mix."""
         cache = PageCache(capacity_pages=5, policy=policy)
+        model: set[tuple[int, int]] = set()
         for op, inode, page in ops:
+            key = (inode, page)
             if op == "insert":
-                cache.insert((inode, page))
+                evicted = cache.insert(key)
+                model.add(key)
+                model.discard(evicted)
             elif op == "access":
-                cache.access((inode, page))
+                assert cache.access(key) == (key in model)
             elif op == "invalidate":
-                cache.invalidate((inode, page))
+                assert cache.invalidate(key) == (key in model)
+                model.discard(key)
             else:
                 cache.invalidate_inode(inode)
-            rebuilt = {}
-            for key in cache._resident:
-                rebuilt.setdefault(key[0], set()).add(key[1])
-            indexed = {inode_id: set(cache._index.pages(inode_id))
-                       for inode_id in cache._index.inodes()}
-            assert rebuilt == indexed
+                model = {k for k in model if k[0] != inode}
+            assert resident_keys(cache) == sorted(model)
+            assert len(cache) == len(model)
 
 
 class TestPinnedEvictionRefresh:

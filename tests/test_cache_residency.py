@@ -29,7 +29,8 @@ MAX_PAGE = 96
 
 
 def _check_against_model(backends, model):
-    """Every backend answers every query exactly like the model."""
+    """Every backend answers every query exactly like the model,
+    including the fault planner's run questions at every page."""
     npages_probes = (0, 1, MAX_PAGE // 3, MAX_PAGE, MAX_PAGE + 10)
     for index in backends:
         assert set(index.inodes()) == {i for i, pages in model.items()
@@ -37,6 +38,18 @@ def _check_against_model(backends, model):
         for inode_id in INODES:
             pages = model.get(inode_id, set())
             assert index.pages(inode_id) == frozenset(pages)
+            for page in range(MAX_PAGE + 2):
+                assert index.contains(inode_id, page) == (page in pages)
+                end = page
+                while end in pages:
+                    end += 1
+                assert index.run_end(inode_id, page) == end
+                for limit in (page - 1, page, page + 1, page + 8,
+                              MAX_PAGE + 2):
+                    first = next((p for p in range(page, limit)
+                                  if p in pages), limit)
+                    assert index.next_resident(inode_id, page,
+                                               limit) == first
             for npages in npages_probes:
                 clipped = sorted(p for p in pages if p < npages)
                 runs: list[tuple[int, int]] = []
@@ -100,9 +113,11 @@ def test_backends_match_model(seed):
             for index in backends:
                 assert list(index.pop_inode(inode_id)) == expected
         else:
+            # what PageCache.clear() does: pop every inode in turn
             model = {}
             for index in backends:
-                index.clear()
+                for inode_id in list(index.inodes()):
+                    list(index.pop_inode(inode_id))
         if op % 40 == 0:
             _check_against_model(backends, model)
 

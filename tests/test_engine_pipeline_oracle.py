@@ -39,6 +39,7 @@ from repro.sim.tasks import EventScheduler, Task
 from repro.sim.units import PAGE_SIZE
 
 from tests.oracles.kernel import use_per_page_engine_faults
+from tests.oracles.residency import resident_keys
 
 PROFILES = ("ext2", "cdrom", "nfs", "hsm")
 TENANTS = (None, "a", "b")
@@ -234,7 +235,7 @@ def _state(kernel, engine, stats, data, errors, telemetry, prefetcher):
         "data": data,
         "errors": errors,
         "cache_stats": repr(vars(cache.stats)),
-        "resident": sorted(cache._resident),
+        "resident": resident_keys(cache),
         "recency": [_policy_state(shard.policy) for shard in cache._shards],
         "shards": cache.shard_report(),
         "owners": list(cache._page_tenant.items()),

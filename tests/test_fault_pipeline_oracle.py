@@ -32,6 +32,7 @@ from repro.sim.prefetch import Prefetcher
 from repro.sim.units import PAGE_SIZE
 
 from tests.oracles.kernel import use_per_page_faults
+from tests.oracles.residency import resident_keys
 
 PROFILES = ("ext2", "cdrom", "nfs", "hsm")
 TENANTS = ("a", "b")
@@ -223,7 +224,7 @@ def _state(kernel, fs, fds, data, telemetry, prefetcher):
         "categories": sorted(kernel.clock.categories().items()),
         "counters": repr(vars(kernel.counters)),
         "cache_stats": repr(vars(cache.stats)),
-        "resident": sorted(cache._resident),
+        "resident": resident_keys(cache),
         "recency": [_policy_state(shard.policy) for shard in cache._shards],
         "shards": cache.shard_report(),
         "tenants": cache.tenant_report(),

@@ -7,6 +7,10 @@ per-item code they replaced.
   the tenant owns and filters by shard;
 * :meth:`PageCache.insert_run` inserts a run of one inode's pages in one
   call, where the reference is one :meth:`PageCache.insert` per page;
+* a replacement policy takes a hit run in one ``on_hit_run`` call and
+  gives ``k`` victims as runs from one ``choose_victims(k)`` call, where
+  the reference is one ``on_hit`` per page and ``k`` ``choose_victim``
+  calls;
 * :meth:`FairScheduler.take_next` buckets ``pending`` by tenant in one
   pass, where the reference
   (:class:`tests.oracles.scheduler.MultiPassFairScheduler`) rescans the
@@ -35,11 +39,13 @@ import numpy as np
 from repro.block.scheduler import (DeviceQueue, FairScheduler, IoRequest,
                                    by_tenant)
 from repro.cache import PageCache, TenantMemoryLimit
+from repro.cache.policies import make_policy
 from repro.devices.disk import DiskDevice
 from repro.sim.clock import VirtualClock
 from repro.sim.events import EventLoop
 from repro.sim.units import PAGE_SIZE
 from tests.oracles.cache import LinearSoftVictimCache
+from tests.oracles.residency import resident_keys
 from tests.oracles.scheduler import (MultiPassFairScheduler,
                                      ScanningDeviceQueue)
 
@@ -101,7 +107,7 @@ def _policy_state(policy) -> tuple:
 
 def _cache_state(cache: PageCache) -> tuple:
     return (
-        sorted(cache._resident), sorted(cache._pinned),
+        resident_keys(cache), sorted(cache._pinned),
         cache.eviction_sink.owners, cache.stats, dict(cache._generations),
         {tenant: list(pages) for tenant, pages in cache._tenant_pages.items()},
         dict(cache._page_tenant), cache.shard_report(),
@@ -267,6 +273,56 @@ def test_insert_run_straddling_a_rebalance():
     _apply_run(reference, ("insert_run", (1, 0), "a", 7), batched=False)
     _assert_same_caches(cache, reference, "after the run")
     assert cache.stats.rebalances == 2
+
+
+@settings(deadline=None)
+@given(policy=st.sampled_from(["lru", "clock", "2q"]),
+       ops=st.lists(st.tuples(
+           st.sampled_from(["insert", "hit_run", "victims", "remove"]),
+           st.integers(0, 2), st.integers(0, 15), st.integers(1, 8)),
+           min_size=1, max_size=80))
+def test_policy_run_calls_match_per_key_calls(policy, ops):
+    """On twin policies, ``choose_victims(k)`` picks what ``k``
+    ``choose_victim()`` calls pick, grouped into runs of consecutive
+    pages of one inode in eviction order, and ``on_hit_run`` over a
+    tracked stretch leaves the state ``on_hit`` per page leaves: the LRU
+    order, the CLOCK ring with its bits, 2Q's three queues."""
+    runs, keys = make_policy(policy), make_policy(policy)
+    tracked: set[tuple[int, int]] = set()
+    for op, inode, page, n in ops:
+        if op == "insert":
+            for key in [(inode, p) for p in range(page, page + n)
+                        if (inode, p) not in tracked]:
+                runs.on_insert(key)
+                keys.on_insert(key)
+                tracked.add(key)
+        elif op == "hit_run":
+            stop = page
+            while stop < page + n and (inode, stop) in tracked:
+                stop += 1
+            if stop > page:
+                runs.on_hit_run(inode, page, stop - page)
+                for p in range(page, stop):
+                    keys.on_hit((inode, p))
+        elif op == "victims":
+            k = min(n, len(tracked))
+            picked = [keys.choose_victim() for _ in range(k)]
+            expected: list[tuple[int, int, int]] = []
+            for vin, vpage in picked:
+                if (expected and expected[-1][0] == vin
+                        and sum(expected[-1][1:]) == vpage):
+                    expected[-1] = (vin, expected[-1][1],
+                                    expected[-1][2] + 1)
+                else:
+                    expected.append((vin, vpage, 1))
+            assert runs.choose_victims(k) == expected
+            tracked.difference_update(picked)
+        else:
+            runs.on_remove((inode, page))
+            keys.on_remove((inode, page))
+            tracked.discard((inode, page))
+        assert _policy_state(runs) == _policy_state(keys)
+        assert len(runs) == len(tracked)
 
 
 # -- the fair elevator ---------------------------------------------------------

@@ -47,6 +47,7 @@ from repro.sim.tasks import EventScheduler, Task
 from repro.sim.units import PAGE_SIZE
 
 from tests.oracles.kernel import use_per_page_writes
+from tests.oracles.residency import resident_keys
 
 PROFILES = ("ext2", "nfs", "hsm", "ext2", "nfs", "hsm", "cdrom")
 TENANTS = ("a", "b")
@@ -334,7 +335,7 @@ def _state(kernel, engine, filesystems, fds, inodes, out, telemetry,
         "dirty": [(inode_id, fs.name, inode.id, sorted(pages))
                   for inode_id, (fs, inode, pages) in kernel._dirty.items()],
         "cache_stats": repr(vars(cache.stats)),
-        "resident": sorted(cache._resident),
+        "resident": resident_keys(cache),
         "recency": [_policy_state(shard.policy) for shard in cache._shards],
         "shards": cache.shard_report(),
         "tenants": cache.tenant_report(),
